@@ -30,11 +30,24 @@
 #                               # shard-scaling bench (bench_shard ->
 #                               # BENCH_shard.json, zero wrong results)
 #
+# Lane flags combine: `scripts/verify.sh --tsan --asan` runs both lanes after
+# the tier-1 steps. An unknown flag prints this usage and exits 2.
 # Exits non-zero on the first failing step.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+usage() { sed -n '2,/^# Exits/s/^# \{0,1\}//p' "$0"; }
+LANES=" "
+for flag in "$@"; do
+  case "$flag" in
+    --asan|--tsan|--overload|--crash|--large-data|--shard-torture)
+      LANES+="$flag " ;;
+    *) usage >&2; exit 2 ;;
+  esac
+done
+lane() { [[ "$LANES" == *" $1 "* ]]; }
 
 run() { echo "==> $*"; "$@"; }
 
@@ -48,17 +61,21 @@ run ctest --test-dir build -L torture --output-on-failure
 # 2pc/* fault matrix are tier-1, so a label-filtered lane still covers them.
 run ctest --test-dir build -L shard --output-on-failure
 
-if [[ "${1:-}" == "--asan" ]]; then
+if lane --asan; then
   run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAEDB_SANITIZE=address,undefined
+  # server_test, sql_test and batch_equiv_test cover the plan cache: its
+  # shared plans outlive a concurrent DDL flush, and the programs compiled
+  # into them run at every morsel batch size.
   run cmake --build build-asan -j "$JOBS" --target fault_test \
-      fault_torture_test storage_test net_test
+      fault_torture_test storage_test net_test server_test sql_test \
+      batch_equiv_test
   ASAN_OPTIONS=detect_leaks=0 run ctest --test-dir build-asan \
-      -R 'fault_test|fault_torture_test|storage_test|net_test' \
+      -R 'fault_test|fault_torture_test|storage_test|net_test|server_test|sql_test|batch_equiv_test' \
       --output-on-failure
 fi
 
-if [[ "${1:-}" == "--overload" ]]; then
+if lane --overload; then
   # Deadline/overload robustness lane. The overload-labelled suite covers
   # deadline-bounded lock waits, worker-pool shedding, the admission gate and
   # the 4x socket stress; bench_overload gates graceful degradation (goodput
@@ -70,7 +87,7 @@ if [[ "${1:-}" == "--overload" ]]; then
   run ./build/bench/bench_net
 fi
 
-if [[ "${1:-}" == "--crash" ]]; then
+if lane --crash; then
   # Process-crash durability lane, off tier-1 because it forks ~25 server
   # processes. crash_torture_test kill -9s a live aedb_serverd over a durable
   # data dir at seeded random points plus forced crashes at wal/append,
@@ -85,7 +102,7 @@ if [[ "${1:-}" == "--crash" ]]; then
   run ./build/bench/bench_recovery
 fi
 
-if [[ "${1:-}" == "--large-data" ]]; then
+if lane --large-data; then
   # Buffer-pool robustness lane, off tier-1 for runtime. The bufferpool label
   # covers pin/unpin + eviction races, paged-vs-unbounded equivalence and
   # group-commit durability; large_data runs TPC-C (incl. 4 concurrent
@@ -96,7 +113,7 @@ if [[ "${1:-}" == "--large-data" ]]; then
       --output-on-failure
 fi
 
-if [[ "${1:-}" == "--shard-torture" ]]; then
+if lane --shard-torture; then
   # Cross-shard atomicity lane, off tier-1 because the kill -9 half forks
   # real aedb_serverd --shards=2 children. shard_torture_test crashes the
   # coordinator at every 2pc/* boundary (pre-prepare, prepared-without-
@@ -110,7 +127,7 @@ if [[ "${1:-}" == "--shard-torture" ]]; then
   run ./build/bench/bench_shard
 fi
 
-if [[ "${1:-}" == "--tsan" ]]; then
+if lane --tsan; then
   # The data-race surface: enclave worker pool, multi-threaded net server
   # (epoll shards + exec pool + connection-scale suite), overload shedding,
   # and the executor's batched enclave submissions (batch_equiv drives every

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "fault/fault.h"
+#include "sql/compiler.h"
 #include "storage/fsio.h"
 
 namespace aedb::server {
@@ -650,6 +651,9 @@ Status Database::ExecuteDdl(const std::string& sql_text, uint64_t session_id) {
     AEDB_RETURN_IF_ERROR(ddl_journal_->AppendStatement(entry));
   }
   Status executed = ExecuteDdlStatement(sql_text, session_id);
+  // After the catalog change (even a failed statement may have made one):
+  // cached plans embed the old encryption annotations.
+  InvalidatePlans();
   // The commit marker's fsync is the DDL durability point: only a marked
   // entry must replay on restart. An unmarked entry (crash or failure in
   // this window) was never acknowledged and replays leniently.
@@ -721,11 +725,6 @@ Status Database::ExecuteDdlStatement(const std::string& sql_text,
                                      uint64_t session_id) {
   sql::Statement stmt;
   AEDB_ASSIGN_OR_RETURN(stmt, sql::Parse(sql_text));
-  {
-    std::lock_guard<std::mutex> lock(plan_cache_mu_);
-    plan_cache_.clear();  // DDL invalidates cached plans
-  }
-  executor_->ClearProgramCache();
   switch (stmt.kind) {
     case sql::Statement::Kind::kCreateCmk: {
       const sql::CreateCmkStmt& s = *stmt.create_cmk;
@@ -770,12 +769,18 @@ Status Database::ExecuteDdlStatement(const std::string& sql_text,
   }
 }
 
-Result<const sql::BoundStatement*> Database::GetOrBind(const std::string& sql_text) {
-  {
-    std::lock_guard<std::mutex> lock(plan_cache_mu_);
-    auto it = plan_cache_.find(sql_text);
-    if (it != plan_cache_.end()) return it->second.get();
-  }
+void Database::InvalidatePlans() {
+  std::lock_guard<std::mutex> lock(plan_cache_mu_);
+  plan_cache_.clear();
+}
+
+Result<std::shared_ptr<const sql::BoundStatement>> Database::GetOrBind(
+    const std::string& sql_text) {
+  // Binding under the lock: a DDL's InvalidatePlans, which runs after its
+  // catalog change, waits out any bind that may have read the old catalog.
+  std::lock_guard<std::mutex> lock(plan_cache_mu_);
+  auto it = plan_cache_.find(sql_text);
+  if (it != plan_cache_.end()) return it->second;
   sql::Statement stmt;
   AEDB_ASSIGN_OR_RETURN(stmt, sql::Parse(sql_text));
   switch (stmt.kind) {
@@ -790,11 +795,10 @@ Result<const sql::BoundStatement*> Database::GetOrBind(const std::string& sql_te
   sql::Binder binder(&catalog_);
   sql::BoundStatement bound;
   AEDB_ASSIGN_OR_RETURN(bound, binder.Bind(std::move(stmt)));
-  auto owned = std::make_unique<sql::BoundStatement>(std::move(bound));
-  std::lock_guard<std::mutex> lock(plan_cache_mu_);
-  auto [it, inserted] = plan_cache_.emplace(sql_text, std::move(owned));
-  (void)inserted;
-  return it->second.get();
+  AEDB_RETURN_IF_ERROR(sql::CompileStatement(&bound));
+  auto plan = std::make_shared<const sql::BoundStatement>(std::move(bound));
+  plan_cache_.emplace(sql_text, plan);
+  return plan;
 }
 
 Result<KeyDescription> Database::GetKeyDescription(uint32_t cek_id) {
@@ -815,7 +819,7 @@ Result<DescribeResult> Database::DescribeParameterEncryption(
     const std::string& sql_text, Slice client_dh_public) {
   ChargeRoundTrip();
   describe_calls_.fetch_add(1, std::memory_order_relaxed);
-  const sql::BoundStatement* bound;
+  std::shared_ptr<const sql::BoundStatement> bound;
   AEDB_ASSIGN_OR_RETURN(bound, GetOrBind(sql_text));
 
   DescribeResult out;
@@ -890,11 +894,7 @@ Status Database::AlterColumnMetadataForClientTool(
   sql::ColumnDef col = def->columns[idx];
   AEDB_ASSIGN_OR_RETURN(col.enc, ResolveEncryptionSpec(enc));
   AEDB_RETURN_IF_ERROR(catalog_.AlterColumn(table, idx, col));
-  {
-    std::lock_guard<std::mutex> lock(plan_cache_mu_);
-    plan_cache_.clear();
-  }
-  executor_->ClearProgramCache();
+  InvalidatePlans();
   return Status::OK();
 }
 
@@ -1000,7 +1000,7 @@ Result<sql::ResultSet> Database::ExecuteAdmitted(const std::string& sql_text,
       enclave_->ClearKeys();
     }
   }
-  const sql::BoundStatement* bound;
+  std::shared_ptr<const sql::BoundStatement> bound;
   AEDB_ASSIGN_OR_RETURN(bound, GetOrBind(sql_text));
   if (params.size() != bound->params.size()) {
     return Status::InvalidArgument(
@@ -1087,7 +1087,7 @@ Result<sql::ResultSet> Database::ExecuteNamed(
   // be rejected before any parser/binder work is spent on it.
   AEDB_RETURN_IF_ERROR(AdmitQuery());
   InflightGuard inflight_guard{&inflight_queries_};
-  const sql::BoundStatement* bound;
+  std::shared_ptr<const sql::BoundStatement> bound;
   AEDB_ASSIGN_OR_RETURN(bound, GetOrBind(sql_text));
   auto lower = [](std::string s) {
     std::transform(s.begin(), s.end(), s.begin(),

@@ -355,7 +355,13 @@ class Database : public SqlBackend {
  private:
   class ServerInvoker;
 
-  Result<const sql::BoundStatement*> GetOrBind(const std::string& sql);
+  /// The plan cache: parses, binds and compiles a DML statement once per
+  /// SQL text. The shared_ptr keeps the plan (and its compiled programs)
+  /// alive for a caller still executing it after a DDL flushed the cache.
+  Result<std::shared_ptr<const sql::BoundStatement>> GetOrBind(
+      const std::string& sql);
+  /// Flushes the plan cache. DDL calls it after changing the catalog.
+  void InvalidatePlans();
   /// The admission gate. Runs before parsing/binding on every execution path
   /// (positional and named): on OK the in-flight count stays incremented and
   /// the caller must decrement it when the query leaves the system; on
@@ -416,7 +422,8 @@ class Database : public SqlBackend {
   std::unique_ptr<sql::Executor> executor_;
 
   std::mutex plan_cache_mu_;
-  std::map<std::string, std::unique_ptr<sql::BoundStatement>> plan_cache_;
+  std::map<std::string, std::shared_ptr<const sql::BoundStatement>>
+      plan_cache_;
 
   TdsCapture capture_;
   std::atomic<uint64_t> describe_calls_{0};

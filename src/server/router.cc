@@ -262,20 +262,17 @@ Result<const ShardedDatabase::RoutePlan*> ShardedDatabase::PlanFor(
     // No pin in the statement. A table with no *W_ID column at all is a
     // replicated reference table (Item): reads hit one shard, writes
     // broadcast. A partitioned table without a pin broadcasts too (each
-    // shard applies the statement to the rows it owns).
-    const sql::TableDef* def = nullptr;
-    auto found = shards_[0]->catalog().GetTable(table);
-    if (found.ok()) def = *found;
-    bool partitioned = false;
-    if (def != nullptr) {
-      for (const auto& col : def->columns) {
-        if (IsWarehouseColumn(Upper(col.name))) {
-          partitioned = true;
-          break;
-        }
+    // shard applies the statement to the rows it owns). A missing table
+    // fails the statement uncached: a later CREATE TABLE decides its kind.
+    const sql::TableDef* def;
+    AEDB_ASSIGN_OR_RETURN(def, shards_[0]->catalog().GetTable(table));
+    plan.reference_table = true;
+    for (const auto& col : def->columns) {
+      if (IsWarehouseColumn(Upper(col.name))) {
+        plan.reference_table = false;
+        break;
       }
     }
-    plan.reference_table = def != nullptr && !partitioned;
   }
   std::lock_guard<std::mutex> lock(plan_mu_);
   auto [it, inserted] = plans_.emplace(sql, std::move(plan));

@@ -68,6 +68,12 @@ struct BoundStatement {
   bool requires_enclave = false;
   /// CEK ids the enclave needs installed to evaluate this statement.
   std::vector<uint32_t> enclave_ceks;
+  /// Expression-services programs, compiled once by CompileStatement and
+  /// cached with the plan (paper §4.4). `filter` is the WHERE predicate
+  /// (always true without one); `values` holds one program per INSERT
+  /// VALUES cell (row-major) or per UPDATE SET expression.
+  es::EsProgram filter;
+  std::vector<es::EsProgram> values;
 };
 
 /// Resolves names against the catalog, deduces parameter plaintext types,

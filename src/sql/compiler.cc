@@ -7,6 +7,21 @@ using types::TypeId;
 
 namespace {
 
+/// Input-slot layout of a statement's programs: the main table's columns
+/// first, then the join table's (if any), then parameters.
+struct InputLayout {
+  size_t table_columns = 0;
+  size_t join_columns = 0;
+
+  size_t ColumnSlot(int table_slot, int column_index) const {
+    return table_slot == 0 ? static_cast<size_t>(column_index)
+                           : table_columns + static_cast<size_t>(column_index);
+  }
+  size_t ParamSlot(int param_index) const {
+    return table_columns + join_columns + static_cast<size_t>(param_index);
+  }
+};
+
 /// Does this predicate atom need the enclave? (Set by the binder: encrypted
 /// operands that are not host-comparable DET equality.)
 bool IsEnclaveAtom(const Expr* e) {
@@ -237,8 +252,6 @@ Status PredicateCompiler::EmitValue(const Expr* e, es::EsProgram* p) {
   return Status::OK();
 }
 
-}  // namespace
-
 Result<es::EsProgram> CompilePredicate(const Expr* where,
                                        const InputLayout& layout,
                                        const std::vector<BoundParam>& params) {
@@ -254,13 +267,53 @@ Result<es::EsProgram> CompilePredicate(const Expr* where,
   return program;
 }
 
-Result<es::EsProgram> CompileValueExpr(const Expr* expr,
-                                       const InputLayout& layout,
-                                       const std::vector<BoundParam>& params) {
+/// Appends the program of one SET / VALUES expression to `bound->values`.
+Status CompileValue(const Expr* expr, const InputLayout& layout,
+                    BoundStatement* bound) {
   es::EsProgram program;
-  PredicateCompiler compiler(layout, params);
+  PredicateCompiler compiler(layout, bound->params);
   AEDB_RETURN_IF_ERROR(compiler.EmitValue(expr, &program));
-  return program;
+  bound->values.push_back(std::move(program));
+  return Status::OK();
+}
+
+}  // namespace
+
+Status CompileStatement(BoundStatement* bound) {
+  const Statement& stmt = bound->stmt;
+  InputLayout layout;
+  layout.table_columns = bound->table->columns.size();
+  if (bound->join_table != nullptr) {
+    layout.join_columns = bound->join_table->columns.size();
+  }
+  const Expr* where = nullptr;
+  switch (stmt.kind) {
+    case Statement::Kind::kSelect:
+      where = stmt.select->where.get();
+      break;
+    case Statement::Kind::kInsert:
+      // VALUES cells see only the parameters: an empty table layout.
+      for (const auto& row : stmt.insert->rows) {
+        for (const ExprPtr& cell : row) {
+          AEDB_RETURN_IF_ERROR(CompileValue(cell.get(), InputLayout{}, bound));
+        }
+      }
+      return Status::OK();
+    case Statement::Kind::kUpdate:
+      where = stmt.update->where.get();
+      for (const auto& [column, expr] : stmt.update->sets) {
+        AEDB_RETURN_IF_ERROR(CompileValue(expr.get(), layout, bound));
+      }
+      break;
+    case Statement::Kind::kDelete:
+      where = stmt.del->where.get();
+      break;
+    default:
+      return Status::InvalidArgument("only DML statements compile");
+  }
+  AEDB_ASSIGN_OR_RETURN(bound->filter,
+                        CompilePredicate(where, layout, bound->params));
+  return Status::OK();
 }
 
 }  // namespace aedb::sql

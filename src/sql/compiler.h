@@ -1,47 +1,23 @@
 #ifndef AEDB_SQL_COMPILER_H_
 #define AEDB_SQL_COMPILER_H_
 
-#include "es/program.h"
 #include "sql/binder.h"
 
 namespace aedb::sql {
 
-/// Input-slot layout shared by compiled programs and the executor: the main
-/// table's columns first, then the join table's (if any), then parameters.
-struct InputLayout {
-  size_t table_columns = 0;
-  size_t join_columns = 0;
-
-  size_t ColumnSlot(int table_slot, int column_index) const {
-    return table_slot == 0 ? static_cast<size_t>(column_index)
-                           : table_columns + static_cast<size_t>(column_index);
-  }
-  size_t ParamSlot(int param_index) const {
-    return table_columns + join_columns + static_cast<size_t>(param_index);
-  }
-  size_t total(size_t num_params) const {
-    return table_columns + join_columns + num_params;
-  }
-};
-
-/// \brief Compiles a bound predicate tree into the host ES program
-/// (paper §4.4, Figure 7).
+/// \brief Compiles a bound DML statement's expressions into host ES programs
+/// (paper §4.4, Figure 7) and stores them on `bound` (`filter`, `values`).
 ///
-/// Plaintext subtrees become ordinary stack code. DET equality becomes a
-/// host VARBINARY comparison on ciphertext. Predicates over enclave-enabled
-/// encrypted operands become kTMEval stubs embedding a serialized
-/// enclave-side program whose GetData instructions carry the encryption
-/// annotations that make the enclave decrypt at ingress.
-Result<es::EsProgram> CompilePredicate(const Expr* where,
-                                       const InputLayout& layout,
-                                       const std::vector<BoundParam>& params);
-
-/// Compiles a scalar value expression (SET / VALUES clauses): plaintext
-/// arithmetic over columns and parameters, or an opaque ciphertext move for
-/// encrypted targets. One output slot.
-Result<es::EsProgram> CompileValueExpr(const Expr* expr,
-                                       const InputLayout& layout,
-                                       const std::vector<BoundParam>& params);
+/// Programs read their inputs from one slot layout: the main table's columns
+/// first, then the join table's (if any), then parameters; INSERT VALUES
+/// programs see parameters only. Plaintext subtrees become ordinary stack
+/// code. DET equality becomes a host VARBINARY comparison on ciphertext.
+/// Predicates over enclave-enabled encrypted operands become kTMEval stubs
+/// embedding a serialized enclave-side program whose GetData instructions
+/// carry the encryption annotations that make the enclave decrypt at
+/// ingress. Value expressions (SET / VALUES) compile to plaintext arithmetic
+/// or an opaque ciphertext move for encrypted targets.
+Status CompileStatement(BoundStatement* bound);
 
 }  // namespace aedb::sql
 

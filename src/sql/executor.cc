@@ -6,7 +6,6 @@
 #include <shared_mutex>
 
 #include "common/query_context.h"
-#include "crypto/sha256.h"
 #include "fault/fault.h"
 
 namespace aedb::sql {
@@ -108,53 +107,6 @@ Value OperandValue(const Expr* operand, const std::vector<Value>& params) {
   return params[operand->param_index];
 }
 
-/// Preorder encoding of everything that influences compilation: node kinds,
-/// binder annotations (slots, types, encryption) and literal values. Two
-/// expressions with equal fingerprints compile to equal programs.
-void FingerprintExpr(const Expr* e, Bytes* out) {
-  if (e == nullptr) {
-    out->push_back(0xFF);  // distinguishes "absent child" from any Kind
-    return;
-  }
-  out->push_back(static_cast<uint8_t>(e->kind));
-  out->push_back(static_cast<uint8_t>(e->cmp));
-  out->push_back(static_cast<uint8_t>(e->arith));
-  out->push_back(e->is_not ? 1 : 0);
-  PutU32(out, static_cast<uint32_t>(e->table_slot));
-  PutU32(out, static_cast<uint32_t>(e->column_index));
-  PutU32(out, static_cast<uint32_t>(e->param_index));
-  out->push_back(static_cast<uint8_t>(e->type));
-  out->push_back(static_cast<uint8_t>(e->enc.kind));
-  PutU32(out, e->enc.cek_id);
-  out->push_back(e->enc.enclave_enabled ? 1 : 0);
-  if (e->kind == Expr::Kind::kLiteral) {
-    PutLengthPrefixed(out, e->literal.Encode());
-  }
-  FingerprintExpr(e->a.get(), out);
-  FingerprintExpr(e->b.get(), out);
-  FingerprintExpr(e->c.get(), out);
-}
-
-std::string ProgramCacheKey(const Expr* expr, const InputLayout& layout,
-                            const std::vector<BoundParam>& params,
-                            bool value_expr) {
-  Bytes payload;
-  FingerprintExpr(expr, &payload);
-  PutU32(&payload, static_cast<uint32_t>(layout.table_columns));
-  PutU32(&payload, static_cast<uint32_t>(layout.join_columns));
-  PutU32(&payload, static_cast<uint32_t>(params.size()));
-  for (const BoundParam& p : params) {
-    payload.push_back(static_cast<uint8_t>(p.type));
-    payload.push_back(p.type_known ? 1 : 0);
-    payload.push_back(static_cast<uint8_t>(p.enc.kind));
-    PutU32(&payload, p.enc.cek_id);
-    payload.push_back(p.enc.enclave_enabled ? 1 : 0);
-  }
-  payload.push_back(value_expr ? 1 : 0);
-  Bytes digest = crypto::Sha256::Hash(payload);
-  return std::string(digest.begin(), digest.end());
-}
-
 }  // namespace
 
 Result<int> ValueComparator::Compare(Slice a, Slice b) const {
@@ -174,61 +126,6 @@ Bytes Executor::IndexKeyFor(const ColumnDef& col, const Value& v) {
     return v.bin();  // the AEAD cell is the key
   }
   return v.Encode();
-}
-
-void Executor::ClearProgramCache() {
-  std::unique_lock lock(program_cache_mu_);
-  program_cache_.clear();
-  lru_.clear();
-}
-
-Result<std::shared_ptr<const es::EsProgram>> Executor::CompiledFor(
-    const Expr* expr, const InputLayout& layout,
-    const std::vector<BoundParam>& params, bool value_expr) {
-  std::string key = ProgramCacheKey(expr, layout, params, value_expr);
-  {
-    // Exclusive even on a hit: the LRU touch mutates the recency list.
-    std::unique_lock lock(program_cache_mu_);
-    auto it = program_cache_.find(key);
-    if (it != program_cache_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.program;
-    }
-  }
-  es::EsProgram program;
-  if (value_expr) {
-    AEDB_ASSIGN_OR_RETURN(program, CompileValueExpr(expr, layout, params));
-  } else {
-    AEDB_ASSIGN_OR_RETURN(program, CompilePredicate(expr, layout, params));
-  }
-  std::unique_lock lock(program_cache_mu_);
-  auto it = program_cache_.find(key);
-  if (it != program_cache_.end()) {  // raced with another compiler
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.program;
-  }
-  lru_.push_front(key);
-  CacheEntry entry;
-  entry.program = std::make_shared<const es::EsProgram>(std::move(program));
-  entry.lru_it = lru_.begin();
-  auto result = entry.program;
-  program_cache_.emplace(std::move(key), std::move(entry));
-  if (program_cache_.size() > kProgramCacheCap) {
-    program_cache_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  return result;
-}
-
-Result<bool> Executor::EvalPredicate(const es::EsProgram& program,
-                                     const std::vector<Value>& inputs) {
-  es::EvalContext ctx;
-  ctx.enclave = invoker_;
-  es::EsEvaluator evaluator(ctx);
-  std::vector<Value> out;
-  AEDB_ASSIGN_OR_RETURN(out, evaluator.Eval(program, inputs));
-  // SQL semantics: a NULL predicate does not pass.
-  return !out[0].is_null() && out[0].bool_v();
 }
 
 Result<std::vector<char>> Executor::EvalPredicateBatch(
@@ -335,23 +232,8 @@ Result<Executor::Candidates> Executor::PlanAccess(
 
 Result<std::vector<std::pair<Rid, std::vector<Value>>>>
 Executor::CollectMatches(const BoundStatement& bound, const Expr* where,
-                         const TableDef& table,
                          const std::vector<Value>& params) {
-  InputLayout layout;
-  layout.table_columns = table.columns.size();
-  es::EsProgram always_true;
-  std::shared_ptr<const es::EsProgram> filter_holder;
-  const es::EsProgram* filter = nullptr;
-  if (where == nullptr) {
-    AEDB_ASSIGN_OR_RETURN(always_true,
-                          CompilePredicate(nullptr, layout, bound.params));
-    filter = &always_true;
-  } else {
-    AEDB_ASSIGN_OR_RETURN(filter_holder,
-                          CompiledFor(where, layout, bound.params, false));
-    filter = filter_holder.get();
-  }
-
+  const TableDef& table = *bound.table;
   // Hold the table's statement latch (shared) across the index probe AND the
   // row fetches: a concurrent UPDATE applies its index-delete / heap-move /
   // index-insert steps under the same latch held exclusive, so candidates
@@ -384,7 +266,7 @@ Executor::CollectMatches(const BoundStatement& bound, const Expr* where,
       inputs.push_back(std::move(in));
     }
     std::vector<char> pass;
-    AEDB_ASSIGN_OR_RETURN(pass, EvalPredicateBatch(*filter, inputs));
+    AEDB_ASSIGN_OR_RETURN(pass, EvalPredicateBatch(bound.filter, inputs));
     for (size_t i = 0; i < morsel.size(); ++i) {
       if (pass[i]) matches.push_back(std::move(morsel[i]));
     }
@@ -438,8 +320,7 @@ Result<ResultSet> Executor::Select(const BoundStatement& bound,
   std::vector<std::vector<Value>> rows;
   if (bound.join_table == nullptr) {
     std::vector<std::pair<Rid, std::vector<Value>>> matches;
-    AEDB_ASSIGN_OR_RETURN(matches,
-                          CollectMatches(bound, sel.where.get(), table, params));
+    AEDB_ASSIGN_OR_RETURN(matches, CollectMatches(bound, sel.where.get(), params));
     rows.reserve(matches.size());
     for (auto& [rid, row] : matches) rows.push_back(std::move(row));
   } else {
@@ -461,23 +342,6 @@ Result<ResultSet> Executor::Select(const BoundStatement& bound,
     }
     if (left_idx < 0 || right_idx < 0) {
       return Status::Internal("join columns failed to resolve");
-    }
-
-    InputLayout layout;
-    layout.table_columns = table.columns.size();
-    layout.join_columns = right.columns.size();
-    es::EsProgram always_true;
-    std::shared_ptr<const es::EsProgram> filter_holder;
-    const es::EsProgram* filter = nullptr;
-    if (sel.where == nullptr) {
-      AEDB_ASSIGN_OR_RETURN(always_true,
-                            CompilePredicate(nullptr, layout, bound.params));
-      filter = &always_true;
-    } else {
-      AEDB_ASSIGN_OR_RETURN(
-          filter_holder,
-          CompiledFor(sel.where.get(), layout, bound.params, false));
-      filter = filter_holder.get();
     }
 
     std::map<Bytes, std::vector<std::vector<Value>>> hash;
@@ -510,7 +374,7 @@ Result<ResultSet> Executor::Select(const BoundStatement& bound,
         inputs.push_back(std::move(in));
       }
       std::vector<char> pass;
-      AEDB_ASSIGN_OR_RETURN(pass, EvalPredicateBatch(*filter, inputs));
+      AEDB_ASSIGN_OR_RETURN(pass, EvalPredicateBatch(bound.filter, inputs));
       for (size_t i = 0; i < pending.size(); ++i) {
         if (pass[i]) rows.push_back(std::move(pending[i]));
       }
@@ -719,7 +583,7 @@ Result<int64_t> Executor::Insert(const BoundStatement& bound,
     for (const std::string& name : ins.columns) targets.push_back(table.FindColumn(name));
   }
 
-  InputLayout layout;  // VALUES expressions see only parameters
+  auto program = bound.values.begin();  // one per VALUES cell, row-major
   int64_t inserted = 0;
   for (const auto& value_row : ins.rows) {
     std::vector<Value> row(table.columns.size());
@@ -731,11 +595,8 @@ Result<int64_t> Executor::Insert(const BoundStatement& bound,
     es::EsEvaluator evaluator(ctx);
     for (size_t i = 0; i < value_row.size(); ++i) {
       const ColumnDef& col = table.columns[targets[i]];
-      std::shared_ptr<const es::EsProgram> program;
-      AEDB_ASSIGN_OR_RETURN(program, CompiledFor(value_row[i].get(), layout,
-                                                 bound.params, true));
       std::vector<Value> out;
-      AEDB_ASSIGN_OR_RETURN(out, evaluator.Eval(*program, params));
+      AEDB_ASSIGN_OR_RETURN(out, evaluator.Eval(*program++, params));
       if (col.enc.is_encrypted()) {
         if (!out[0].is_null() && out[0].type() != TypeId::kBinary) {
           return Status::SecurityError(
@@ -779,20 +640,9 @@ Result<int64_t> Executor::Update(const BoundStatement& bound,
   const TableDef& table = *bound.table;
 
   std::vector<std::pair<Rid, std::vector<Value>>> matches;
-  AEDB_ASSIGN_OR_RETURN(matches,
-                        CollectMatches(bound, upd.where.get(), table, params));
-
-  InputLayout layout;
-  layout.table_columns = table.columns.size();
-  std::vector<std::pair<int, std::shared_ptr<const es::EsProgram>>>
-      set_programs;
-  for (const auto& [col_name, expr] : upd.sets) {
-    int idx = table.FindColumn(col_name);
-    std::shared_ptr<const es::EsProgram> program;
-    AEDB_ASSIGN_OR_RETURN(program,
-                          CompiledFor(expr.get(), layout, bound.params, true));
-    set_programs.emplace_back(idx, std::move(program));
-  }
+  AEDB_ASSIGN_OR_RETURN(matches, CollectMatches(bound, upd.where.get(), params));
+  std::vector<int> targets;  // SET columns, in bound.values order
+  for (const auto& set : upd.sets) targets.push_back(table.FindColumn(set.first));
 
   int64_t updated = 0;
   for (auto& [rid, row] : matches) {
@@ -816,10 +666,11 @@ Result<int64_t> Executor::Update(const BoundStatement& bound,
     es::EvalContext ctx;
     ctx.enclave = invoker_;
     es::EsEvaluator evaluator(ctx);
-    for (auto& [idx, program] : set_programs) {
+    for (size_t i = 0; i < targets.size(); ++i) {
+      int idx = targets[i];
       const ColumnDef& col = table.columns[idx];
       std::vector<Value> out;
-      AEDB_ASSIGN_OR_RETURN(out, evaluator.Eval(*program, inputs));
+      AEDB_ASSIGN_OR_RETURN(out, evaluator.Eval(bound.values[i], inputs));
       if (col.enc.is_encrypted()) {
         if (!out[0].is_null() && out[0].type() != TypeId::kBinary) {
           return Status::SecurityError("plaintext value for encrypted column " +
@@ -859,8 +710,7 @@ Result<int64_t> Executor::Delete(const BoundStatement& bound,
   const DeleteStmt& del = *bound.stmt.del;
   const TableDef& table = *bound.table;
   std::vector<std::pair<Rid, std::vector<Value>>> matches;
-  AEDB_ASSIGN_OR_RETURN(matches,
-                        CollectMatches(bound, del.where.get(), table, params));
+  AEDB_ASSIGN_OR_RETURN(matches, CollectMatches(bound, del.where.get(), params));
   int64_t deleted = 0;
   for (auto& [rid, row] : matches) {
     AEDB_RETURN_IF_ERROR(CheckQueryDeadline());

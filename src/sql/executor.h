@@ -1,16 +1,11 @@
 #ifndef AEDB_SQL_EXECUTOR_H_
 #define AEDB_SQL_EXECUTOR_H_
 
-#include <list>
-#include <map>
-#include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "es/evaluator.h"
 #include "sql/binder.h"
-#include "sql/compiler.h"
 #include "storage/engine.h"
 
 namespace aedb::sql {
@@ -31,8 +26,9 @@ struct ResultSet {
 /// Planning is integrated: point lookups use equality indexes (DET
 /// ciphertext probes) or range indexes (enclave-compared probes); range and
 /// BETWEEN predicates use range indexes with residual filtering; everything
-/// else is a scan + filter, with filter expressions evaluated by expression
-/// services — TMEval stubs route encrypted atoms into the enclave via the
+/// else is a scan + filter. Filters and SET / VALUES expressions run as the
+/// expression-services programs compiled into the BoundStatement at bind
+/// time — TMEval stubs route encrypted atoms into the enclave via the
 /// provided invoker.
 class Executor {
  public:
@@ -58,10 +54,6 @@ class Executor {
   /// for encrypted columns, the value encoding for plaintext ones.
   static Bytes IndexKeyFor(const ColumnDef& col, const types::Value& v);
 
-  /// Drops all cached compiled programs (schema changes invalidate the
-  /// encryption annotations baked into them).
-  void ClearProgramCache();
-
   /// Rows per morsel for batched predicate evaluation: the executor buffers
   /// up to this many candidate rows and evaluates the filter over all of
   /// them with ONE enclave round trip (paper §4.6 amortization). 1 degrades
@@ -80,35 +72,21 @@ class Executor {
   Result<Candidates> PlanAccess(const Expr* where, const TableDef& table,
                                 const std::vector<types::Value>& params);
 
-  Result<bool> EvalPredicate(const es::EsProgram& program,
-                             const std::vector<types::Value>& inputs);
-
-  /// Batched EvalPredicate over a morsel: one EsEvaluator::EvalBatch run, so
+  /// Evaluates a filter over a morsel: one EsEvaluator::EvalBatch run, so
   /// every encrypted atom in the filter crosses the enclave boundary once
   /// for the whole morsel. pass[i] applies SQL semantics (NULL fails).
   Result<std::vector<char>> EvalPredicateBatch(
       const es::EsProgram& program,
       const std::vector<std::vector<types::Value>>& batch);
 
-  /// Compiled-program cache — the CEsComp-in-plan-cache of paper §4.4.
-  /// Keyed by a fingerprint of (expression shape + binder annotations, input
-  /// layout, parameter types, compile mode) rather than the Expr* address:
-  /// re-parsed statements with identical shapes share an entry, and distinct
-  /// expressions can never collide on a recycled pointer. Bounded by LRU
-  /// eviction; shared_ptr returns keep an evicted program alive for callers
-  /// mid-statement.
-  Result<std::shared_ptr<const es::EsProgram>> CompiledFor(
-      const Expr* expr, const InputLayout& layout,
-      const std::vector<BoundParam>& params, bool value_expr);
-
   /// Reads and decodes a row.
   Result<std::vector<types::Value>> FetchRow(const TableDef& table,
                                              const storage::Rid& rid);
 
-  /// Collects (rid, row) pairs matching the filter.
+  /// Collects (rid, row) pairs of `bound.table` matching `bound.filter`;
+  /// `where` picks the access path.
   Result<std::vector<std::pair<storage::Rid, std::vector<types::Value>>>>
   CollectMatches(const BoundStatement& bound, const Expr* where,
-                 const TableDef& table,
                  const std::vector<types::Value>& params);
 
   Status MaintainIndexesOnInsert(const TableDef& table,
@@ -122,15 +100,6 @@ class Executor {
   storage::StorageEngine* engine_;
   es::EnclaveInvoker* invoker_;
   size_t batch_size_ = 256;
-
-  static constexpr size_t kProgramCacheCap = 128;
-  struct CacheEntry {
-    std::shared_ptr<const es::EsProgram> program;
-    std::list<std::string>::iterator lru_it;
-  };
-  std::shared_mutex program_cache_mu_;
-  std::map<std::string, CacheEntry> program_cache_;
-  std::list<std::string> lru_;  // front = most recently used
 };
 
 /// Orders a plaintext index by decoded Value comparison (NULLs first).

@@ -249,6 +249,19 @@ TEST_F(E2eTest, InitialEncryptionThroughEnclave) {
                              {"s", Value::String("123-45-000" + std::to_string(i))}});
     ASSERT_TRUE(r.ok());
   }
+  // One SQL text runs before and after the DDL. Its plan, cached on the
+  // server with a plaintext host comparison compiled in, must not survive
+  // the ALTER; the uncached driver re-describes and encrypts the parameter.
+  const std::string lookup = "SELECT Id FROM People WHERE Ssn = @s";
+  DriverOptions fresh_opts;
+  fresh_opts.enclave_policy.trusted_author_id = image_.AuthorId();
+  fresh_opts.cache_describe_results = false;
+  Driver fresh(db_.get(), &registry_, hgs_->signing_public(), fresh_opts);
+  auto before = fresh.Query(lookup, {{"s", Value::String("123-45-0007")}});
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->rows.size(), 1u);
+  EXPECT_EQ(before->rows[0][0].i32(), 7);
+
   Status st = driver_->ExecuteEnclaveDdl(
       "ALTER TABLE People ALTER COLUMN Ssn VARCHAR(11) ENCRYPTED WITH ("
       "COLUMN_ENCRYPTION_KEY = MyCEK, ENCRYPTION_TYPE = Randomized, "
@@ -256,11 +269,12 @@ TEST_F(E2eTest, InitialEncryptionThroughEnclave) {
   ASSERT_TRUE(st.ok()) << st.ToString();
 
   // Data is now ciphertext on pages but still queryable via the enclave.
-  auto r = driver_->Query("SELECT Id FROM People WHERE Ssn = @s",
-                          {{"s", Value::String("123-45-0007")}});
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(r->rows.size(), 1u);
-  EXPECT_EQ(r->rows[0][0].i32(), 7);
+  for (Driver* d : {driver_.get(), &fresh}) {
+    auto r = d->Query(lookup, {{"s", Value::String("123-45-0007")}});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u);
+    EXPECT_EQ(r->rows[0][0].i32(), 7);
+  }
 
   // And the pages no longer contain the SSN plaintext.
   std::string needle = "123-45-0007";

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "client/driver.h"
 #include "crypto/drbg.h"
 #include "server/database.h"
@@ -152,6 +155,59 @@ TEST_F(ServerTest, PlanCacheAvoidsRebinding) {
   // Only sp_describe counts round trips; straight execution should not call
   // the describe path at all.
   EXPECT_EQ(db_->describe_calls(), 0u);
+}
+
+// DDL runs alongside queries and flushes the plan cache. A statement still
+// executing keeps its plan and compiled programs alive across the flush, and
+// every answer stays correct while plans are rebound again and again.
+TEST_F(ServerTest, QueriesStayCorrectUnderConcurrentDdl) {
+  StartServer();
+  auto driver = MakeDriver();
+  ProvisionSchema(driver.get());
+  constexpr int kRows = 8;
+  for (int i = 0; i < kRows; ++i) {
+    auto ins = driver->Query(
+        "INSERT INTO T (id, secret, plain) VALUES (@i, @s, @p)",
+        {{"i", Value::Int32(i)},
+         {"s", Value::String("secret-" + std::to_string(i))},
+         {"p", Value::Int32(i)}});
+    ASSERT_TRUE(ins.ok()) << ins.status().ToString();
+  }
+
+  // DDL loops for as long as the reads run, so every read overlaps a flush.
+  std::atomic<bool> reads_done{false};
+  Status ddl_status;
+  int ddl_rounds = 0;
+  std::thread ddl([&] {
+    while (!reads_done && ddl_status.ok()) {
+      std::string table = "D" + std::to_string(ddl_rounds++);
+      ddl_status = db_->ExecuteDdl("CREATE TABLE " + table + " (a INT)");
+      if (ddl_status.ok()) {
+        ddl_status = db_->ExecuteDdl("CREATE INDEX ix_" + table + " ON " +
+                                     table + " (a)");
+      }
+    }
+  });
+
+  std::string failure;
+  for (int q = 0; q < 200 && failure.empty(); ++q) {
+    int want = q % kRows;
+    auto r = driver->Query(
+        "SELECT id, plain FROM T WHERE secret = @s AND plain >= @p",
+        {{"s", Value::String("secret-" + std::to_string(want))},
+         {"p", Value::Int32(0)}});
+    if (!r.ok()) {
+      failure = r.status().ToString();
+    } else if (r->rows.size() != 1 || r->rows[0][0].i32() != want ||
+               r->rows[0][1].i32() != want) {
+      failure = "wrong answer for secret-" + std::to_string(want);
+    }
+  }
+  reads_done = true;
+  ddl.join();
+  EXPECT_TRUE(failure.empty()) << failure;
+  EXPECT_TRUE(ddl_status.ok()) << ddl_status.ToString();
+  EXPECT_GT(ddl_rounds, 0);
 }
 
 TEST_F(ServerTest, WorkerPoolModeServesEnclaveQueries) {

@@ -109,6 +109,10 @@ TEST_F(ShardTest, WarehouseRoutingPinsToOwningShard) {
 TEST_F(ShardTest, ReferenceTablesReplicateWritesReadOnce) {
   Build(3);
   auto driver = MakeDriver(sharded_.get());
+  // A read of a table that does not exist yet fails, and must leave no route
+  // plan behind: once the table exists, the same text is a reference-table
+  // read of one shard, not a broadcast that counts every replica.
+  EXPECT_FALSE(sharded_->Execute("SELECT COUNT(*) FROM Item", {}).ok());
   ASSERT_TRUE(
       driver->ExecuteDdl("CREATE TABLE Item (I_ID INT, I_NAME VARCHAR)").ok());
   for (int i = 1; i <= 4; ++i) {
