@@ -217,15 +217,15 @@ int Run() {
               dl_pct < 1.0 ? "[OK <1%]" : "[FAIL >=1%]");
   if (dl_pct >= 1.0) return 1;
 
-  const net::ServerStats& s = d->net_server->stats();
+  const net::ServerStatsSnapshot s = d->net_server->SnapshotStats();
   std::printf("# server: %llu conns, %llu frames in/%llu out, %llu bytes "
               "in/%llu out, %llu protocol errors\n",
-              static_cast<unsigned long long>(s.connections_accepted.load()),
-              static_cast<unsigned long long>(s.frames_in.load()),
-              static_cast<unsigned long long>(s.frames_out.load()),
-              static_cast<unsigned long long>(s.bytes_in.load()),
-              static_cast<unsigned long long>(s.bytes_out.load()),
-              static_cast<unsigned long long>(s.protocol_errors.load()));
+              static_cast<unsigned long long>(s.connections_accepted),
+              static_cast<unsigned long long>(s.frames_in),
+              static_cast<unsigned long long>(s.frames_out),
+              static_cast<unsigned long long>(s.bytes_in),
+              static_cast<unsigned long long>(s.bytes_out),
+              static_cast<unsigned long long>(s.protocol_errors));
   return 0;
 }
 

@@ -71,7 +71,8 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
 
-int RunDemo(net::Server& server, const attestation::HostGuardianService& hgs,
+int RunDemo(net::Server& server, const server::SqlBackend& db,
+            const attestation::HostGuardianService& hgs,
             const enclave::EnclaveImage& image) {
   keys::InMemoryKeyVault vault;
   CHECK_OK(vault.CreateKey("kv/demo", 1024));
@@ -110,19 +111,20 @@ int RunDemo(net::Server& server, const attestation::HostGuardianService& hgs,
   }
   std::printf("demo: encrypted round trip over TCP ok (ssn decrypted "
               "client-side: %s)\n", rows->rows[0][0].str().c_str());
-  const net::ServerStats& s = server.stats();
+  const net::ServerStatsSnapshot s = server.SnapshotStats();
   std::printf("demo: server stats: %llu conns, %llu frames in, %llu frames "
               "out, %llu bytes in, %llu bytes out\n",
-              static_cast<unsigned long long>(s.connections_accepted.load()),
-              static_cast<unsigned long long>(s.frames_in.load()),
-              static_cast<unsigned long long>(s.frames_out.load()),
-              static_cast<unsigned long long>(s.bytes_in.load()),
-              static_cast<unsigned long long>(s.bytes_out.load()));
+              static_cast<unsigned long long>(s.connections_accepted),
+              static_cast<unsigned long long>(s.frames_in),
+              static_cast<unsigned long long>(s.frames_out),
+              static_cast<unsigned long long>(s.bytes_in),
+              static_cast<unsigned long long>(s.bytes_out));
+  const server::DatabaseStats ds = db.Stats();
   std::printf("demo: enclave batching: %llu batch calls, %llu batched values, "
               "%llu transitions\n",
-              static_cast<unsigned long long>(s.enclave_batch_evals.load()),
-              static_cast<unsigned long long>(s.enclave_batched_values.load()),
-              static_cast<unsigned long long>(s.enclave_transitions.load()));
+              static_cast<unsigned long long>(ds.enclave_batch_evals),
+              static_cast<unsigned long long>(ds.enclave_batched_values),
+              static_cast<unsigned long long>(ds.enclave_transitions));
   return 0;
 }
 
@@ -316,7 +318,7 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   if (demo) {
-    int rc = RunDemo(server, hgs, image);
+    int rc = RunDemo(server, *db, hgs, image);
     server.Stop();
     return rc;
   }
@@ -341,30 +343,31 @@ int main(int argc, char** argv) {
     std::fflush(nullptr);
     std::_Exit(3);
   }
-  const net::ServerStats& s = server.stats();
-  std::printf("shutting down: %llu connections, %llu frames in, %llu frames "
-              "out, %llu protocol errors\n",
-              static_cast<unsigned long long>(s.connections_accepted.load()),
-              static_cast<unsigned long long>(s.frames_in.load()),
-              static_cast<unsigned long long>(s.frames_out.load()),
-              static_cast<unsigned long long>(s.protocol_errors.load()));
-  std::printf("overload: %llu conns rejected, %llu queries rejected, "
-              "%llu expired, queue highwater %llu\n",
-              static_cast<unsigned long long>(s.connections_rejected.load()),
-              static_cast<unsigned long long>(s.queries_rejected.load()),
-              static_cast<unsigned long long>(s.queries_expired.load()),
-              static_cast<unsigned long long>(s.queue_depth_highwater.load()));
   Status shut = db->Shutdown();
   if (!shut.ok()) {
     std::fprintf(stderr, "shutdown checkpoint skipped: %s\n",
                  shut.ToString().c_str());
   }
+  const net::ServerStatsSnapshot s = server.SnapshotStats();
   const server::DatabaseStats ds = db->Stats();
+  std::printf("shutting down: %llu connections, %llu frames in, %llu frames "
+              "out, %llu protocol errors\n",
+              static_cast<unsigned long long>(s.connections_accepted),
+              static_cast<unsigned long long>(s.frames_in),
+              static_cast<unsigned long long>(s.frames_out),
+              static_cast<unsigned long long>(s.protocol_errors));
+  std::printf("overload: %llu conns rejected, %llu queries rejected, "
+              "%llu expired, queue highwater %llu\n",
+              static_cast<unsigned long long>(s.connections_rejected),
+              static_cast<unsigned long long>(ds.queries_rejected),
+              static_cast<unsigned long long>(ds.queries_expired),
+              static_cast<unsigned long long>(ds.pool_queue_highwater));
+  const server::RecoveryInfo& ri = db->recovery_info();
   std::printf("durability: recovery_ms=%llu wal_records_replayed=%llu "
               "torn_bytes_dropped=%llu checkpoints_taken=%llu wal_bytes=%llu "
               "fsyncs=%llu wal_file_errors=%llu\n",
-              static_cast<unsigned long long>(ds.recovery_ms),
-              static_cast<unsigned long long>(ds.wal_records_replayed),
+              static_cast<unsigned long long>(ri.recovery_ms),
+              static_cast<unsigned long long>(ri.wal_records_replayed),
               static_cast<unsigned long long>(ds.torn_bytes_dropped),
               static_cast<unsigned long long>(ds.checkpoints_taken),
               static_cast<unsigned long long>(ds.wal_bytes),
@@ -381,6 +384,6 @@ int main(int argc, char** argv) {
               "commits_per_fsync=%.2f\n",
               static_cast<unsigned long long>(ds.group_commit_batches),
               static_cast<unsigned long long>(ds.commit_sync_requests),
-              ds.commits_per_fsync);
+              ds.commits_per_fsync());
   return 0;
 }

@@ -66,12 +66,13 @@ if lane --asan; then
       -DAEDB_SANITIZE=address,undefined
   # server_test, sql_test and batch_equiv_test cover the plan cache: its
   # shared plans outlive a concurrent DDL flush, and the programs compiled
-  # into them run at every morsel batch size.
+  # into them run at every morsel batch size. durability_test and shard_test
+  # cover recovery, checkpoints and the router's 2PC and merged stats.
   run cmake --build build-asan -j "$JOBS" --target fault_test \
       fault_torture_test storage_test net_test server_test sql_test \
-      batch_equiv_test
+      batch_equiv_test durability_test shard_test
   ASAN_OPTIONS=detect_leaks=0 run ctest --test-dir build-asan \
-      -R 'fault_test|fault_torture_test|storage_test|net_test|server_test|sql_test|batch_equiv_test' \
+      -R '^(fault_test|fault_torture_test|storage_test|net_test|server_test|sql_test|batch_equiv_test|durability_test|shard_test)$' \
       --output-on-failure
 fi
 
@@ -138,12 +139,13 @@ if lane --tsan; then
   # bufferpool_test rides along for the pool's pin/evict/writeback races and
   # the group-commit leader/follower handoff; shard_test for the router's
   # cross-shard 2PC paths (per-shard engines + the coordinator's decision
-  # log) under the differential TPC-C run.
+  # log) under the differential TPC-C run; fault_test for the server
+  # counters under driver retries and re-attestation.
   run cmake --build build-tsan -j "$JOBS" --target enclave_test net_test \
       server_test batch_equiv_test net_scale_test overload_test \
-      bufferpool_test shard_test
+      bufferpool_test shard_test fault_test
   TSAN_OPTIONS=halt_on_error=1 run ctest --test-dir build-tsan \
-      -R 'enclave_test|net_test|server_test|batch_equiv_test|net_scale_test|overload_test|bufferpool_test|shard_test' \
+      -R '^(enclave_test|net_test|server_test|batch_equiv_test|net_scale_test|overload_test|bufferpool_test|shard_test|fault_test)$' \
       --output-on-failure
 fi
 

@@ -90,17 +90,6 @@ struct EnclaveStats {
   std::atomic<uint64_t> batch_evals{0};
   /// ...and the total rows/cells they carried across the boundary.
   std::atomic<uint64_t> batched_values{0};
-
-  /// Derived amortization gauge: encrypted values processed (evals +
-  /// comparisons) per boundary crossing. Row-at-a-time execution pins this
-  /// near 1; batching is what pushes it up (paper §4.6).
-  double ValuesPerTransition() const {
-    uint64_t t = transitions.load(std::memory_order_relaxed);
-    if (t == 0) return 0.0;
-    return static_cast<double>(evals.load(std::memory_order_relaxed) +
-                               comparisons.load(std::memory_order_relaxed)) /
-           static_cast<double>(t);
-  }
 };
 
 /// \brief The AE enclave: trusted code and state living inside the simulated

@@ -206,15 +206,7 @@ void Server::Stop() {
   // 2. Drain the execution pool: in-flight requests finish and post their
   //    completions (the loops are still running to take them); queued-but-
   //    unstarted work is dropped — its connections die in step 3 anyway.
-  if (pool_) {
-    stats_.run_queue_highwater.store(pool_->queue_highwater(),
-                                     std::memory_order_relaxed);
-    stats_.run_queue_sheds.store(pool_->queue_rejected(),
-                                 std::memory_order_relaxed);
-    stats_.exec_threads_peak.store(pool_->peak_threads(),
-                                   std::memory_order_relaxed);
-    pool_->Stop();
-  }
+  if (pool_) pool_->Stop();
 
   // 3. Close every connection on its own loop, then stop the loops. The
   //    close-all task is posted before Stop so the loop runs it on its way
@@ -230,8 +222,6 @@ void Server::Stop() {
     });
   }
   for (auto& shard : shards_) {
-    stats_.epoll_wakeups.fetch_add(shard->loop.wakeups(),
-                                   std::memory_order_relaxed);
     shard->loop.Stop();
     // The loop thread is joined; anything the close-all task missed (it can
     // be dropped if the loop was already exiting) is freed here.
@@ -240,6 +230,16 @@ void Server::Stop() {
     shard->conns.clear();
     shard->rejects.clear();
   }
+  // 4. Latch the reactor gauges before their owners go away, so reads after
+  //    shutdown stay truthful. A store, not an add: the owners' counts are
+  //    already totals since Start().
+  ServerStatsSnapshot last = SnapshotStats();
+  stats_.epoll_wakeups.store(last.epoll_wakeups, std::memory_order_relaxed);
+  stats_.run_queue_highwater.store(last.run_queue_highwater,
+                                   std::memory_order_relaxed);
+  stats_.run_queue_sheds.store(last.run_queue_sheds, std::memory_order_relaxed);
+  stats_.exec_threads_peak.store(last.exec_threads_peak,
+                                 std::memory_order_relaxed);
   shards_.clear();
   pool_.reset();
   accept_handler_.reset();
@@ -788,100 +788,23 @@ Server::RequestOutcome Server::ExecuteRequest(MsgType type,
 // Stats
 // ---------------------------------------------------------------------------
 
-void Server::RefreshMirrors() const {
-  if (db_ != nullptr) {
-    server::DatabaseStats s = db_->Stats();
-    stats_.enclave_batch_evals.store(s.enclave_batch_evals,
-                                     std::memory_order_relaxed);
-    stats_.enclave_batched_values.store(s.enclave_batched_values,
-                                        std::memory_order_relaxed);
-    stats_.enclave_transitions.store(s.enclave_transitions,
-                                     std::memory_order_relaxed);
-    stats_.queries_admitted.store(s.queries_admitted, std::memory_order_relaxed);
-    stats_.queries_rejected.store(s.queries_rejected, std::memory_order_relaxed);
-    stats_.queries_expired.store(s.queries_expired, std::memory_order_relaxed);
-    stats_.queue_depth_highwater.store(s.pool_queue_highwater,
-                                       std::memory_order_relaxed);
-    stats_.lock_waits_expired.store(s.lock_waits_expired,
-                                    std::memory_order_relaxed);
-    stats_.pool_hits.store(s.pool_hits, std::memory_order_relaxed);
-    stats_.pool_misses.store(s.pool_misses, std::memory_order_relaxed);
-    stats_.pool_evictions.store(s.pool_evictions, std::memory_order_relaxed);
-    stats_.pool_writebacks.store(s.pool_writebacks, std::memory_order_relaxed);
-    stats_.pool_pinned_highwater.store(s.pool_pinned_highwater,
-                                       std::memory_order_relaxed);
-    stats_.group_commit_batches.store(s.group_commit_batches,
-                                      std::memory_order_relaxed);
-    stats_.commit_sync_requests.store(s.commit_sync_requests,
-                                      std::memory_order_relaxed);
-  }
-  // Reactor gauges (the Stop path latches them into stats_ before the pool
-  // and loops are torn down, so post-shutdown reads stay truthful).
+ServerStatsSnapshot Server::SnapshotStats() const {
+  ServerStatsSnapshot s;
+#define AEDB_NET_LOAD_COUNTER(name) \
+  s.name = stats_.name.load(std::memory_order_relaxed);
+  AEDB_NET_SERVER_COUNTERS(AEDB_NET_LOAD_COUNTER)
+#undef AEDB_NET_LOAD_COUNTER
+  // Reactor gauges are read from their owners while those exist; after
+  // Stop() the latched values loaded above stand.
   if (pool_) {
-    stats_.run_queue_highwater.store(pool_->queue_highwater(),
-                                     std::memory_order_relaxed);
-    stats_.run_queue_sheds.store(pool_->queue_rejected(),
-                                 std::memory_order_relaxed);
-    stats_.exec_threads_peak.store(pool_->peak_threads(),
-                                   std::memory_order_relaxed);
+    s.run_queue_highwater = pool_->queue_highwater();
+    s.run_queue_sheds = pool_->queue_rejected();
+    s.exec_threads_peak = pool_->peak_threads();
   }
   if (!shards_.empty()) {
-    uint64_t wakeups = 0;
-    for (const auto& shard : shards_) wakeups += shard->loop.wakeups();
-    stats_.epoll_wakeups.store(wakeups, std::memory_order_relaxed);
+    s.epoll_wakeups = 0;
+    for (const auto& shard : shards_) s.epoll_wakeups += shard->loop.wakeups();
   }
-}
-
-ServerStatsSnapshot Server::SnapshotStats() const {
-  RefreshMirrors();
-  ServerStatsSnapshot s;
-  s.connections_accepted =
-      stats_.connections_accepted.load(std::memory_order_relaxed);
-  s.connections_active =
-      stats_.connections_active.load(std::memory_order_relaxed);
-  s.frames_in = stats_.frames_in.load(std::memory_order_relaxed);
-  s.frames_out = stats_.frames_out.load(std::memory_order_relaxed);
-  s.bytes_in = stats_.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = stats_.bytes_out.load(std::memory_order_relaxed);
-  s.protocol_errors = stats_.protocol_errors.load(std::memory_order_relaxed);
-  s.request_errors = stats_.request_errors.load(std::memory_order_relaxed);
-  s.retries_seen = stats_.retries_seen.load(std::memory_order_relaxed);
-  s.sessions_attested = stats_.sessions_attested.load(std::memory_order_relaxed);
-  s.connections_rejected =
-      stats_.connections_rejected.load(std::memory_order_relaxed);
-  s.epoll_wakeups = stats_.epoll_wakeups.load(std::memory_order_relaxed);
-  s.run_queue_highwater =
-      stats_.run_queue_highwater.load(std::memory_order_relaxed);
-  s.run_queue_sheds = stats_.run_queue_sheds.load(std::memory_order_relaxed);
-  s.exec_threads_peak = stats_.exec_threads_peak.load(std::memory_order_relaxed);
-  s.idle_reaps = stats_.idle_reaps.load(std::memory_order_relaxed);
-  s.slow_reader_disconnects =
-      stats_.slow_reader_disconnects.load(std::memory_order_relaxed);
-  s.handshake_timeouts =
-      stats_.handshake_timeouts.load(std::memory_order_relaxed);
-  s.enclave_batch_evals =
-      stats_.enclave_batch_evals.load(std::memory_order_relaxed);
-  s.enclave_batched_values =
-      stats_.enclave_batched_values.load(std::memory_order_relaxed);
-  s.enclave_transitions =
-      stats_.enclave_transitions.load(std::memory_order_relaxed);
-  s.queries_admitted = stats_.queries_admitted.load(std::memory_order_relaxed);
-  s.queries_rejected = stats_.queries_rejected.load(std::memory_order_relaxed);
-  s.queries_expired = stats_.queries_expired.load(std::memory_order_relaxed);
-  s.queue_depth_highwater =
-      stats_.queue_depth_highwater.load(std::memory_order_relaxed);
-  s.lock_waits_expired =
-      stats_.lock_waits_expired.load(std::memory_order_relaxed);
-  s.pool_hits = stats_.pool_hits.load(std::memory_order_relaxed);
-  s.pool_misses = stats_.pool_misses.load(std::memory_order_relaxed);
-  s.pool_evictions = stats_.pool_evictions.load(std::memory_order_relaxed);
-  s.pool_writebacks = stats_.pool_writebacks.load(std::memory_order_relaxed);
-  s.pool_pinned_highwater =
-      stats_.pool_pinned_highwater.load(std::memory_order_relaxed);
-  s.group_commit_batches =
-      stats_.group_commit_batches.load(std::memory_order_relaxed);
-  s.commit_sync_requests =
-      stats_.commit_sync_requests.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -65,110 +65,55 @@ struct ServerConfig {
   uint32_t handshake_timeout_ms = 30'000;
 };
 
-/// Per-server counters (monotonic; read with relaxed ordering — use
-/// SnapshotStats() for a single coherent read).
-struct ServerStats {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_active{0};
-  std::atomic<uint64_t> frames_in{0};
-  std::atomic<uint64_t> frames_out{0};
-  std::atomic<uint64_t> bytes_in{0};
-  std::atomic<uint64_t> bytes_out{0};
-  /// Framing-level failures (bad magic/version/length, truncation,
-  /// mid-frame EOF or stall).
-  std::atomic<uint64_t> protocol_errors{0};
-  /// Requests that executed but returned a non-OK Status.
-  std::atomic<uint64_t> request_errors{0};
-  /// Query frames stamped with a non-zero retry attempt — driver recovery
-  /// traffic as seen from the server side.
-  std::atomic<uint64_t> retries_seen{0};
-  /// Successful kAttest round trips (enclave sessions minted). Grows past
-  /// the connection count when clients re-attest after an enclave restart.
-  std::atomic<uint64_t> sessions_attested{0};
-  /// Connections turned away at accept time with a typed kOverloaded frame
-  /// (max_connections cap or the net/accept_reject fault point).
-  std::atomic<uint64_t> connections_rejected{0};
+/// Every net::Server counter, declared once. The live atomics and
+/// ServerStatsSnapshot are both generated from this list, so adding a gauge
+/// touches only this line and its increment site. Database gauges (enclave,
+/// admission, buffer pool, group commit) are not here: they are read through
+/// SqlBackend::Stats(), their single owner.
+#define AEDB_NET_SERVER_COUNTERS(X)                                         \
+  X(connections_accepted)                                                   \
+  X(connections_active)                                                     \
+  X(frames_in)                                                              \
+  X(frames_out)                                                             \
+  X(bytes_in)                                                               \
+  X(bytes_out)                                                              \
+  /* Framing-level failures (bad magic/version/length, truncation,          \
+     mid-frame EOF or stall). */                                            \
+  X(protocol_errors)                                                        \
+  /* Requests that executed but returned a non-OK Status. */                \
+  X(request_errors)                                                         \
+  /* Query frames stamped with a non-zero retry attempt: driver recovery    \
+     traffic as seen from the server side. */                               \
+  X(retries_seen)                                                           \
+  /* Successful kAttest round trips (enclave sessions minted). Grows past   \
+     the connection count when clients re-attest after an enclave restart. */ \
+  X(sessions_attested)                                                      \
+  /* Connections turned away at accept time with a typed kOverloaded frame  \
+     (max_connections cap or the net/accept_reject fault point). */         \
+  X(connections_rejected)                                                   \
+  /* Reactor gauges, owned by the event loops and the execution pool while  \
+     the server runs (read there at snapshot time) and latched here by      \
+     Stop(): epoll_wait returns summed over all I/O threads; the deepest    \
+     the run queue has been; requests shed with a typed kOverloaded because \
+     the run queue was full; most execution workers ever live at once. */   \
+  X(epoll_wakeups)                                                          \
+  X(run_queue_highwater)                                                    \
+  X(run_queue_sheds)                                                        \
+  X(exec_threads_peak)                                                      \
+  /* Connections reaped by the idle_timeout_ms sweep, cut for not consuming \
+     their responses (write_buffer_cap), or reaped for never completing a   \
+     handshake. */                                                          \
+  X(idle_reaps)                                                             \
+  X(slow_reader_disconnects)                                                \
+  X(handshake_timeouts)
 
-  // ----- event-loop gauges -----
-
-  /// epoll_wait returns summed over all I/O threads.
-  std::atomic<uint64_t> epoll_wakeups{0};
-  /// Deepest the run queue (decoded requests awaiting a worker) has been.
-  std::atomic<uint64_t> run_queue_highwater{0};
-  /// Requests shed with a typed kOverloaded because the run queue was full.
-  std::atomic<uint64_t> run_queue_sheds{0};
-  /// Most execution workers ever live at once (elastic growth watermark).
-  std::atomic<uint64_t> exec_threads_peak{0};
-  /// Idle connections reaped by the idle_timeout_ms sweep.
-  std::atomic<uint64_t> idle_reaps{0};
-  /// Connections cut for not consuming their responses (write_buffer_cap).
-  std::atomic<uint64_t> slow_reader_disconnects{0};
-  /// Connections reaped for never completing a handshake.
-  std::atomic<uint64_t> handshake_timeouts{0};
-
-  /// Mirrors of the database's enclave amortization counters, refreshed on
-  /// every stats() read so operators see batching effectiveness per server.
-  std::atomic<uint64_t> enclave_batch_evals{0};
-  std::atomic<uint64_t> enclave_batched_values{0};
-  std::atomic<uint64_t> enclave_transitions{0};
-  /// Mirrors of the database's overload-control gauges (same refresh).
-  std::atomic<uint64_t> queries_admitted{0};
-  std::atomic<uint64_t> queries_rejected{0};
-  std::atomic<uint64_t> queries_expired{0};
-  std::atomic<uint64_t> queue_depth_highwater{0};
-  std::atomic<uint64_t> lock_waits_expired{0};
-  /// Mirrors of the database's buffer-pool gauges (same refresh) — an
-  /// operator watching hit rate fall or eviction churn rise sees memory
-  /// pressure from the wire side without shelling into the server.
-  std::atomic<uint64_t> pool_hits{0};
-  std::atomic<uint64_t> pool_misses{0};
-  std::atomic<uint64_t> pool_evictions{0};
-  std::atomic<uint64_t> pool_writebacks{0};
-  std::atomic<uint64_t> pool_pinned_highwater{0};
-  /// Mirrors of the WAL group-commit gauges: cohort fsyncs and the commits
-  /// they covered. commits/fsync ≫ 1 means batching is working.
-  std::atomic<uint64_t> group_commit_batches{0};
-  std::atomic<uint64_t> commit_sync_requests{0};
-};
-
-/// One coherent, race-free copy of every server counter (satisfies "read
-/// the stats once, reason about them together" — e.g. asserting
-/// frames_out >= frames_in - protocol_errors without the counters moving
-/// between loads).
+/// One coherent copy of every server counter (read the stats once and
+/// reason about them together, e.g. frames_out >= frames_in -
+/// protocol_errors, without the counters moving between loads).
 struct ServerStatsSnapshot {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_active = 0;
-  uint64_t frames_in = 0;
-  uint64_t frames_out = 0;
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-  uint64_t protocol_errors = 0;
-  uint64_t request_errors = 0;
-  uint64_t retries_seen = 0;
-  uint64_t sessions_attested = 0;
-  uint64_t connections_rejected = 0;
-  uint64_t epoll_wakeups = 0;
-  uint64_t run_queue_highwater = 0;
-  uint64_t run_queue_sheds = 0;
-  uint64_t exec_threads_peak = 0;
-  uint64_t idle_reaps = 0;
-  uint64_t slow_reader_disconnects = 0;
-  uint64_t handshake_timeouts = 0;
-  uint64_t enclave_batch_evals = 0;
-  uint64_t enclave_batched_values = 0;
-  uint64_t enclave_transitions = 0;
-  uint64_t queries_admitted = 0;
-  uint64_t queries_rejected = 0;
-  uint64_t queries_expired = 0;
-  uint64_t queue_depth_highwater = 0;
-  uint64_t lock_waits_expired = 0;
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
-  uint64_t pool_evictions = 0;
-  uint64_t pool_writebacks = 0;
-  uint64_t pool_pinned_highwater = 0;
-  uint64_t group_commit_batches = 0;
-  uint64_t commit_sync_requests = 0;
+#define AEDB_NET_SNAPSHOT_FIELD(name) uint64_t name = 0;
+  AEDB_NET_SERVER_COUNTERS(AEDB_NET_SNAPSHOT_FIELD)
+#undef AEDB_NET_SNAPSHOT_FIELD
 };
 
 /// \brief Event-driven TCP front end for a `server::Database`.
@@ -210,10 +155,7 @@ class Server {
   bool running() const { return running_.load(std::memory_order_acquire); }
   /// The bound TCP port (valid after Start()).
   uint16_t port() const { return port_; }
-  const ServerStats& stats() const {
-    RefreshMirrors();
-    return stats_;
-  }
+  /// The one read path for the server's counters (relaxed loads).
   ServerStatsSnapshot SnapshotStats() const;
 
  private:
@@ -251,13 +193,17 @@ class Server {
                                 uint64_t conn_id);
 
   reactor::Connection::Options ConnOptions() const;
-  /// Copies the database's enclave + overload counters and the reactor's
-  /// live gauges into the stats mirror.
-  void RefreshMirrors() const;
+
+  /// Live counters, one relaxed atomic per AEDB_NET_SERVER_COUNTERS entry.
+  struct Counters {
+#define AEDB_NET_COUNTER_FIELD(name) std::atomic<uint64_t> name{0};
+    AEDB_NET_SERVER_COUNTERS(AEDB_NET_COUNTER_FIELD)
+#undef AEDB_NET_COUNTER_FIELD
+  };
 
   server::SqlBackend* db_;
   ServerConfig config_;
-  mutable ServerStats stats_;
+  Counters stats_;
 
   std::atomic<bool> running_{false};
   int listen_fd_ = -1;

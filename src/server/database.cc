@@ -181,6 +181,29 @@ Database::Database(ServerOptions options, attestation::HostGuardianService* hgs,
   executor_->set_batch_size(options_.eval_batch_size);
 }
 
+namespace {
+uint64_t MergeSum(uint64_t a, uint64_t b) { return a + b; }
+uint64_t MergeMax(uint64_t a, uint64_t b) { return std::max(a, b); }
+double Ratio(uint64_t num, uint64_t den) {
+  return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+}
+}  // namespace
+
+void DatabaseStats::Merge(const DatabaseStats& shard) {
+#define AEDB_DATABASE_STATS_MERGE(name, merge) \
+  name = Merge##merge(name, shard.name);
+  AEDB_DATABASE_STATS(AEDB_DATABASE_STATS_MERGE)
+#undef AEDB_DATABASE_STATS_MERGE
+}
+
+double DatabaseStats::values_per_transition() const {
+  return Ratio(enclave_evals + enclave_comparisons, enclave_transitions);
+}
+
+double DatabaseStats::commits_per_fsync() const {
+  return Ratio(commit_sync_requests, group_commit_batches);
+}
+
 DatabaseStats Database::Stats() const {
   DatabaseStats out;
   if (enclave_ != nullptr) {
@@ -192,7 +215,6 @@ DatabaseStats Database::Stats() const {
     out.enclave_batch_evals = s.batch_evals.load(std::memory_order_relaxed);
     out.enclave_batched_values =
         s.batched_values.load(std::memory_order_relaxed);
-    out.values_per_transition = s.ValuesPerTransition();
   }
   out.queries_admitted = queries_admitted_.load(std::memory_order_relaxed);
   out.queries_rejected = queries_rejected_.load(std::memory_order_relaxed);
@@ -203,8 +225,6 @@ DatabaseStats Database::Stats() const {
     out.pool_expired_dropped = worker_pool_->expired_dropped();
     out.pool_overload_rejected = worker_pool_->overload_rejected();
   }
-  out.recovery_ms = recovery_info_.recovery_ms;
-  out.wal_records_replayed = recovery_info_.wal_records_replayed;
   out.torn_bytes_dropped = engine_.wal().torn_bytes_dropped() +
                            (ddl_journal_ != nullptr
                                 ? ddl_journal_->torn_bytes_dropped()
@@ -221,11 +241,6 @@ DatabaseStats Database::Stats() const {
   out.pool_pinned_highwater = pool.pinned_highwater;
   out.group_commit_batches = engine_.wal().group_commit_batches();
   out.commit_sync_requests = engine_.wal().sync_requests();
-  out.commits_per_fsync =
-      out.group_commit_batches > 0
-          ? static_cast<double>(out.commit_sync_requests) /
-                static_cast<double>(out.group_commit_batches)
-          : 0.0;
   return out;
 }
 

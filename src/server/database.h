@@ -71,46 +71,65 @@ struct ServerOptions {
   // FilePageStore under <data_dir>/pages.
 };
 
-/// Snapshot of server-side counters (enclave boundary accounting included)
-/// for benches and the net server's stats surface.
+/// Every database gauge, declared once with its cross-shard merge rule:
+/// Sum adds the shards' values, Max keeps the largest (highwaters, and
+/// fsyncs, a process-wide count that every shard reports whole).
+#define AEDB_DATABASE_STATS(X)                                              \
+  /* Enclave boundary accounting (paper §4.6). */                           \
+  X(enclave_calls, Sum)                                                     \
+  X(enclave_evals, Sum)                                                     \
+  X(enclave_comparisons, Sum)                                               \
+  X(enclave_transitions, Sum)                                               \
+  X(enclave_batch_evals, Sum)                                               \
+  X(enclave_batched_values, Sum)                                            \
+  /* Overload control: admission gate outcomes, queries finished with       \
+     kDeadlineExceeded, lock waits cut short by a query deadline, and the   \
+     enclave worker pool's queue (morsels shed as kDeadlineExceeded,        \
+     submissions shed as kOverloaded). */                                   \
+  X(queries_admitted, Sum)                                                  \
+  X(queries_rejected, Sum)                                                  \
+  X(queries_expired, Sum)                                                   \
+  X(lock_waits_expired, Sum)                                                \
+  X(pool_queue_highwater, Max)                                              \
+  X(pool_expired_dropped, Sum)                                              \
+  X(pool_overload_rejected, Sum)                                            \
+  /* Durability (data-dir mode; zero in memory): torn tail bytes dropped    \
+     (WAL + DDL journal), the current durable WAL size, and WAL file writes \
+     that failed (disk diverged from the in-memory mirror). */              \
+  X(torn_bytes_dropped, Sum)                                                \
+  X(checkpoints_taken, Sum)                                                 \
+  X(wal_bytes, Sum)                                                         \
+  X(fsyncs, Max)                                                            \
+  X(wal_file_errors, Sum)                                                   \
+  /* Buffer pool; writebacks are dirty pages written to the store. */       \
+  X(pool_hits, Sum)                                                         \
+  X(pool_misses, Sum)                                                       \
+  X(pool_evictions, Sum)                                                    \
+  X(pool_writebacks, Sum)                                                   \
+  X(pool_pinned_highwater, Max)                                             \
+  /* Group commit: cohort fsyncs performed by SyncUpTo, and the commits     \
+     that reached the barrier. */                                           \
+  X(group_commit_batches, Sum)                                              \
+  X(commit_sync_requests, Sum)
+
+/// Snapshot of server-side counters (enclave boundary accounting included),
+/// read through SqlBackend::Stats().
 struct DatabaseStats {
-  uint64_t enclave_calls = 0;
-  uint64_t enclave_evals = 0;
-  uint64_t enclave_comparisons = 0;
-  uint64_t enclave_transitions = 0;
-  uint64_t enclave_batch_evals = 0;
-  uint64_t enclave_batched_values = 0;
-  /// Amortization gauge: (evals + comparisons) / transitions.
-  double values_per_transition = 0.0;
-  // Overload-control gauges (PR 4).
-  uint64_t queries_admitted = 0;   // passed the admission gate
-  uint64_t queries_rejected = 0;   // kOverloaded at the admission gate
-  uint64_t queries_expired = 0;    // finished with kDeadlineExceeded
-  uint64_t lock_waits_expired = 0; // lock waits cut short by a query deadline
-  uint64_t pool_queue_highwater = 0;
-  uint64_t pool_expired_dropped = 0;   // morsels shed as kDeadlineExceeded
-  uint64_t pool_overload_rejected = 0; // submissions shed as kOverloaded
-  // Durability gauges (data-dir mode; zero in-memory).
-  uint64_t recovery_ms = 0;            // wall time of the last Open() recovery
-  uint64_t wal_records_replayed = 0;   // WAL tail records replayed at Open()
-  uint64_t torn_bytes_dropped = 0;     // torn tail bytes dropped (WAL + DDL)
-  uint64_t checkpoints_taken = 0;
-  uint64_t wal_bytes = 0;              // current durable WAL size
-  uint64_t fsyncs = 0;                 // process-wide fsync count
-  uint64_t wal_file_errors = 0;        // WAL file writes that failed (disk
-                                       // diverged from the in-memory mirror)
-  // Buffer-pool gauges (PR 8).
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
-  uint64_t pool_evictions = 0;
-  uint64_t pool_writebacks = 0;        // dirty pages written to the store
-  uint64_t pool_pinned_highwater = 0;
-  // Group-commit gauges (PR 8).
-  uint64_t group_commit_batches = 0;   // cohort fsyncs performed by SyncUpTo
-  uint64_t commit_sync_requests = 0;   // commits that reached the barrier
-  /// Amortization gauge: commit_sync_requests / group_commit_batches
-  /// (0 when no cohort fsync has run, e.g. in-memory mode).
-  double commits_per_fsync = 0.0;
+#define AEDB_DATABASE_STATS_FIELD(name, merge) uint64_t name = 0;
+  AEDB_DATABASE_STATS(AEDB_DATABASE_STATS_FIELD)
+#undef AEDB_DATABASE_STATS_FIELD
+
+  /// Folds one shard's stats into this aggregate, field by field, using
+  /// each field's merge rule.
+  void Merge(const DatabaseStats& shard);
+
+  /// Amortization gauge: encrypted values processed (evals + comparisons)
+  /// per enclave transition. Row-at-a-time execution pins this near 1;
+  /// batching is what pushes it up (paper §4.6). 0 without transitions.
+  double values_per_transition() const;
+  /// Amortization gauge: commits per cohort fsync (0 when no cohort fsync
+  /// has run, e.g. in-memory mode).
+  double commits_per_fsync() const;
 };
 
 /// Key metadata for one CEK as shipped to the driver: the encrypted CEK

@@ -866,48 +866,7 @@ sql::Catalog& ShardedDatabase::catalog() { return shards_[0]->catalog(); }
 
 DatabaseStats ShardedDatabase::Stats() const {
   DatabaseStats out;
-  for (const auto& shard : shards_) {
-    DatabaseStats s = shard->Stats();
-    out.enclave_calls += s.enclave_calls;
-    out.enclave_evals += s.enclave_evals;
-    out.enclave_comparisons += s.enclave_comparisons;
-    out.enclave_transitions += s.enclave_transitions;
-    out.enclave_batch_evals += s.enclave_batch_evals;
-    out.enclave_batched_values += s.enclave_batched_values;
-    out.queries_admitted += s.queries_admitted;
-    out.queries_rejected += s.queries_rejected;
-    out.queries_expired += s.queries_expired;
-    out.lock_waits_expired += s.lock_waits_expired;
-    out.pool_queue_highwater =
-        std::max(out.pool_queue_highwater, s.pool_queue_highwater);
-    out.pool_expired_dropped += s.pool_expired_dropped;
-    out.pool_overload_rejected += s.pool_overload_rejected;
-    out.recovery_ms += s.recovery_ms;
-    out.wal_records_replayed += s.wal_records_replayed;
-    out.torn_bytes_dropped += s.torn_bytes_dropped;
-    out.checkpoints_taken += s.checkpoints_taken;
-    out.wal_bytes += s.wal_bytes;
-    out.fsyncs = std::max(out.fsyncs, s.fsyncs);  // process-wide gauge
-    out.wal_file_errors += s.wal_file_errors;
-    out.pool_hits += s.pool_hits;
-    out.pool_misses += s.pool_misses;
-    out.pool_evictions += s.pool_evictions;
-    out.pool_writebacks += s.pool_writebacks;
-    out.pool_pinned_highwater =
-        std::max(out.pool_pinned_highwater, s.pool_pinned_highwater);
-    out.group_commit_batches += s.group_commit_batches;
-    out.commit_sync_requests += s.commit_sync_requests;
-  }
-  if (out.enclave_transitions > 0) {
-    out.values_per_transition =
-        static_cast<double>(out.enclave_evals + out.enclave_comparisons) /
-        static_cast<double>(out.enclave_transitions);
-  }
-  if (out.group_commit_batches > 0) {
-    out.commits_per_fsync =
-        static_cast<double>(out.commit_sync_requests) /
-        static_cast<double>(out.group_commit_batches);
-  }
+  for (const auto& shard : shards_) out.Merge(shard->Stats());
   return out;
 }
 

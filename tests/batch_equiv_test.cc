@@ -202,7 +202,7 @@ TEST(BatchEquivTest, ReadWorkloadIdenticalAcrossBatchSizes) {
   DatabaseStats s256 = deps[2]->db->Stats();
   EXPECT_GT(s256.enclave_batch_evals, 0u);
   EXPECT_GT(s256.enclave_batched_values, s256.enclave_batch_evals);
-  EXPECT_GT(s256.values_per_transition, 0.0);
+  EXPECT_GT(s256.values_per_transition(), 0.0);
 }
 
 TEST(BatchEquivTest, RangeIndexSeeksIdenticalAcrossBatchSizes) {

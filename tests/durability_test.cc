@@ -648,7 +648,6 @@ TEST_F(DurableDatabaseTest, DirtyRestartReplaysWalTail) {
   ExpectAccountsIntact();
 
   server::DatabaseStats stats = db_->Stats();
-  EXPECT_EQ(stats.wal_records_replayed, ri.wal_records_replayed);
   EXPECT_GT(stats.wal_bytes, 0u);
   EXPECT_GT(stats.fsyncs, 0u);
 }

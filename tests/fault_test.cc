@@ -446,8 +446,8 @@ TEST_F(NetFaultTest, WorkerErrorAnswersTypedFrameAndSelectRetriesTransparently) 
   EXPECT_EQ(FaultRegistry::Global().fires("net/worker_error"), 1u);
   EXPECT_GE(driver->retries(), 1);
   EXPECT_EQ(driver->reconnects(), 0);
-  EXPECT_GE(server_->stats().retries_seen.load(), 1u);
-  EXPECT_GE(server_->stats().request_errors.load(), 1u);
+  EXPECT_GE(server_->SnapshotStats().retries_seen, 1u);
+  EXPECT_GE(server_->SnapshotStats().request_errors, 1u);
 }
 
 TEST_F(NetFaultTest, WorkerErrorOnWriteIsNotReplayed) {
@@ -544,8 +544,8 @@ TEST_F(NetFaultTest, EnclaveRestartReattestsTransparentlyOnAutoCommitQuery) {
   EXPECT_EQ(FaultRegistry::Global().fires("server/enclave_restart"), 1u);
   EXPECT_EQ(driver->attestations(), 2);
   EXPECT_GE(driver->retries(), 1);
-  EXPECT_EQ(server_->stats().sessions_attested.load(), 2u);
-  EXPECT_GE(server_->stats().retries_seen.load(), 1u);
+  EXPECT_EQ(server_->SnapshotStats().sessions_attested, 2u);
+  EXPECT_GE(server_->SnapshotStats().retries_seen, 1u);
 }
 
 TEST_F(NetFaultTest, SessionEvictionMidStreamRecoversLikeRestart) {
@@ -649,7 +649,7 @@ TEST_F(NetFaultTest, TpccSurvivesEnclaveRestartMidWorkloadOverSocket) {
   EXPECT_EQ(FaultRegistry::Global().fires("server/enclave_restart"), 1u);
   EXPECT_EQ(driver->attestations(), 2);
   EXPECT_GE(terminal.restarts(), 1u);
-  EXPECT_EQ(server_->stats().sessions_attested.load(), 2u);
+  EXPECT_EQ(server_->SnapshotStats().sessions_attested, 2u);
 
   // Consistency spot-check against the in-process view: both paths must see
   // identical district counters.

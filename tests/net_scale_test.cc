@@ -9,7 +9,8 @@
 //     buffering the server into the ground,
 //   - a full run queue answers a typed kOverloaded + retry-after straight
 //     from the event loop, and the connection remains usable afterwards,
-//   - ServerStatsSnapshot gives one coherent read of the gauges.
+//   - ServerStatsSnapshot gives one coherent read of the gauges, and the
+//     reactor gauges it reports survive Stop() without being re-counted.
 
 #include <gtest/gtest.h>
 
@@ -217,7 +218,7 @@ class NetScaleTest : public ::testing::Test {
   /// Polls the live-connection gauge until it reaches `expect` or ~5 s pass.
   bool WaitActive(uint64_t expect) {
     for (int i = 0; i < 250; ++i) {
-      if (server_->stats().connections_active.load() == expect) return true;
+      if (server_->SnapshotStats().connections_active == expect) return true;
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     return false;
@@ -259,7 +260,7 @@ TEST_F(NetScaleTest, ThousandsOfIdleSocketsDontStarveActiveQueries) {
     ASSERT_TRUE(herd.back().connected()) << "connect #" << i;
     ASSERT_TRUE(herd.back().Handshake()) << "handshake #" << i;
   }
-  EXPECT_GE(server_->stats().connections_active.load(), kIdleHerd);
+  EXPECT_GE(server_->SnapshotStats().connections_active, kIdleHerd);
 
   // With the herd parked, a working client must still meet tight deadlines:
   // the sockets are live, the event loop just has nothing to do for them.
@@ -284,12 +285,32 @@ TEST_F(NetScaleTest, ThousandsOfIdleSocketsDontStarveActiveQueries) {
   // Mass disconnect: the gauge must come back down (EOF reaping at scale).
   for (auto& c : herd) c.Close();
   EXPECT_TRUE(WaitActive(1)) << "live-connection gauge stuck at "
-                             << server_->stats().connections_active.load();
+                             << server_->SnapshotStats().connections_active;
 
   auto snap = server_->SnapshotStats();
   EXPECT_GE(snap.connections_accepted, kIdleHerd + 1);
   EXPECT_GT(snap.epoll_wakeups, 0u);
   EXPECT_EQ(snap.protocol_errors, 0u);
+}
+
+// Stop() latches the event loops' wakeup count; it must not add the loops'
+// totals on top of a value an earlier snapshot already read. The close-all
+// task Stop() posts may wake each loop a few more times, nothing like twice.
+TEST_F(NetScaleTest, EpollWakeupsAreNotRecountedAtStop) {
+  auto db = MakeDb();
+  StartServer(db.get(), net::ServerConfig{});
+  RawConn conn(server_->port());
+  ASSERT_TRUE(conn.connected());
+  ASSERT_TRUE(conn.Handshake());
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(conn.Ping()) << "ping #" << i;
+
+  const uint64_t w1 = server_->SnapshotStats().epoll_wakeups;
+  ASSERT_GE(w1, 100u);
+  server_->Stop();
+  const uint64_t w2 = server_->SnapshotStats().epoll_wakeups;
+  EXPECT_LE(w1, w2);
+  EXPECT_LT(w2, 2 * w1) << "wakeups re-counted at Stop (W1=" << w1
+                        << ", W2=" << w2 << ")";
 }
 
 // ===========================================================================
@@ -313,8 +334,8 @@ TEST_F(NetScaleTest, IdleConnectionsAreReapedAfterIdleTimeout) {
     EXPECT_TRUE(c.DrainToEof()) << "idle connection not reaped";
   }
   EXPECT_TRUE(WaitActive(0));
-  EXPECT_GE(server_->stats().idle_reaps.load(), 5u);
-  EXPECT_EQ(server_->stats().protocol_errors.load(), 0u)
+  EXPECT_GE(server_->SnapshotStats().idle_reaps, 5u);
+  EXPECT_EQ(server_->SnapshotStats().protocol_errors, 0u)
       << "idle reap misclassified as a protocol error";
 }
 
@@ -334,7 +355,7 @@ TEST_F(NetScaleTest, ActivityDefersIdleReaping) {
     ASSERT_TRUE(conn.Ping()) << "active connection reaped as idle";
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
   }
-  EXPECT_EQ(server_->stats().idle_reaps.load(), 0u);
+  EXPECT_EQ(server_->SnapshotStats().idle_reaps, 0u);
 }
 
 TEST_F(NetScaleTest, SilentSocketsAreReapedAtHandshakeTimeout) {
@@ -357,7 +378,7 @@ TEST_F(NetScaleTest, SilentSocketsAreReapedAtHandshakeTimeout) {
   for (auto& c : silent) {
     EXPECT_TRUE(c.DrainToEof()) << "pre-handshake socket never reaped";
   }
-  EXPECT_GE(server_->stats().handshake_timeouts.load(), 4u);
+  EXPECT_GE(server_->SnapshotStats().handshake_timeouts, 4u);
   // The handshaken connection outlives the handshake deadline by design.
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   EXPECT_TRUE(polite.Ping());
@@ -385,7 +406,7 @@ TEST_F(NetScaleTest, SlowReaderIsDisconnectedAtWriteBufferCap) {
   auto t0 = Clock::now();
   bool cut = false;
   while (ElapsedMs(t0) < 8000.0) {
-    if (server_->stats().slow_reader_disconnects.load() >= 1) {
+    if (server_->SnapshotStats().slow_reader_disconnects >= 1) {
       cut = true;
       break;
     }
@@ -440,7 +461,7 @@ TEST_F(NetScaleTest, FullRunQueueShedsTypedFromTheEventLoop) {
     // a and b were admitted and must complete…
     EXPECT_TRUE(a.ReadFrame(&type, &payload) && type == net::MsgType::kPong);
     EXPECT_TRUE(b.ReadFrame(&type, &payload) && type == net::MsgType::kPong);
-    EXPECT_GE(server_->stats().run_queue_sheds.load(), 1u);
+    EXPECT_GE(server_->SnapshotStats().run_queue_sheds, 1u);
   }
   // …and the shed connection was never closed: it retries and succeeds.
   EXPECT_TRUE(c.Ping());

@@ -565,9 +565,9 @@ TEST_F(NetTest, HandshakeAssignsConnectionIdsAndPingWorks) {
   EXPECT_NE(t1->connection_id(), t2->connection_id());
   EXPECT_TRUE(t1->Ping().ok());
   EXPECT_TRUE(t2->Ping().ok());
-  EXPECT_GE(server_->stats().connections_accepted.load(), 2u);
-  EXPECT_GE(server_->stats().frames_in.load(), 4u);
-  EXPECT_GE(server_->stats().frames_out.load(), 4u);
+  EXPECT_GE(server_->SnapshotStats().connections_accepted, 2u);
+  EXPECT_GE(server_->SnapshotStats().frames_in, 4u);
+  EXPECT_GE(server_->SnapshotStats().frames_out, 4u);
 }
 
 TEST_F(NetTest, FirstFrameMustBeHandshake) {
@@ -609,10 +609,10 @@ TEST_F(NetTest, MidFramePayloadDisconnectLeavesServerHealthy) {
     ASSERT_TRUE(conn.Send(frame));
     conn.Close();
   }
-  for (int i = 0; i < 50 && server_->stats().protocol_errors.load() == 0; ++i) {
+  for (int i = 0; i < 50 && server_->SnapshotStats().protocol_errors == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_GE(server_->stats().protocol_errors.load(), 1u);
+  EXPECT_GE(server_->SnapshotStats().protocol_errors, 1u);
   auto t = ConnectTransport();
   ASSERT_TRUE(t);
   EXPECT_TRUE(t->Ping().ok());

@@ -646,7 +646,7 @@ TEST_F(NetOverloadTest, MaxConnectionsRejectsTypedAndRecovers) {
   ASSERT_FALSE(t3.ok());
   EXPECT_TRUE(t3.status().IsOverloaded()) << t3.status().ToString();
   EXPECT_EQ(RetryAfterMsFromMessage(t3.status().message()), 15u);
-  EXPECT_EQ(server_->stats().connections_rejected.load(), 1u);
+  EXPECT_EQ(server_->SnapshotStats().connections_rejected, 1u);
   EXPECT_TRUE((*t1)->Ping().ok());  // existing sessions unaffected
 
   // Capacity freed: dropping one connection lets a new one in (possibly
@@ -817,7 +817,7 @@ TEST_F(NetOverloadTest, StreamingRejectedClientDoesNotStallAdmission) {
   ASSERT_FALSE(t2.ok());
   EXPECT_TRUE(t2.status().IsOverloaded()) << t2.status().ToString();
   EXPECT_LT(elapsed, 2000.0) << "reject drain stalled the accept loop";
-  EXPECT_GE(server_->stats().connections_rejected.load(), 2u);
+  EXPECT_GE(server_->SnapshotStats().connections_rejected, 2u);
 
   // The admitted session was never disturbed.
   EXPECT_TRUE((*t1)->Ping().ok());

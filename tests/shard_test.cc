@@ -1,11 +1,15 @@
 // Shared-nothing sharding correctness: warehouse routing, reference-table
 // replication, cross-shard 2PC atomicity, per-shard attestation isolation,
-// and a differential check that a sharded TPC-C run is indistinguishable
-// from a single-engine run on the same seeded workload.
+// a differential check that a sharded TPC-C run is indistinguishable from a
+// single-engine run on the same seeded workload, and the merge rules behind
+// the router's aggregated stats.
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -308,6 +312,113 @@ TEST_F(ShardTest, ShardedTpccMatchesSingleShard) {
     EXPECT_EQ(single_dump[t], sharded_dump[t])
         << "table " << tables[t] << " diverged between single and sharded";
   }
+}
+
+// ShardedDatabase::Stats() folds its shards' stats field by field: counters
+// add, highwaters and the process-wide fsync count take the max, and the
+// amortization ratios are computed from the merged counters (a ratio of
+// sums, never an average of per-shard ratios). A durable, paged, encrypted
+// TPC-C run on 2 shards makes every gauge below move.
+TEST_F(ShardTest, MergedStatsFollowEachFieldsRule) {
+  char templ[] = "/tmp/aedb_shard_stats_XXXXXX";
+  ASSERT_NE(mkdtemp(templ), nullptr);
+  const std::string dir = templ;
+  server::ServerOptions base;
+  base.data_dir = dir;
+  base.engine.pool_pages = 16;  // well under the working set: evictions
+  base.enclave_worker_threads = 1;
+  Build(2, base);
+
+  tpcc::TpccConfig config;
+  config.warehouses = 2;
+  config.districts_per_warehouse = 2;
+  config.customers_per_district = 8;
+  config.items = 30;
+  config.initial_orders_per_district = 4;
+  config.encryption = tpcc::Encryption::kRandomized;
+  config.remote_pct = 25;
+  {
+    auto driver = MakeDriver(sharded_.get());
+    ASSERT_TRUE(driver
+                    ->ProvisionCmk("TpccCMK", vault_->name(),
+                                   "kv/shard-enclave", /*enclave_enabled=*/true)
+                    .ok());
+    ASSERT_TRUE(driver->ProvisionCek(config.cek_name, "TpccCMK").ok());
+    tpcc::TpccLoader loader(driver.get(), config);
+    ASSERT_TRUE(loader.CreateSchema().ok());
+    Status load = loader.Load();
+    ASSERT_TRUE(load.ok()) << load.ToString();
+    tpcc::TpccTerminal terminal(driver.get(), config, /*seed=*/11);
+    for (int i = 0; i < 60; ++i) {
+      Status st = terminal.RunOne();
+      ASSERT_TRUE(st.ok()) << "txn " << i << ": " << st.ToString();
+    }
+  }
+
+  const server::DatabaseStats merged = sharded_->Stats();
+  const server::DatabaseStats a = sharded_->shard(0)->Stats();
+  const server::DatabaseStats b = sharded_->shard(1)->Stats();
+  for (const server::DatabaseStats* s : {&a, &b}) {
+    EXPECT_GT(s->enclave_transitions, 0u);
+    EXPECT_GT(s->group_commit_batches, 0u);
+    EXPECT_GT(s->pool_evictions, 0u);
+    EXPECT_GT(s->pool_queue_highwater, 0u);
+    EXPECT_GT(s->pool_pinned_highwater, 0u);
+  }
+  EXPECT_GT(merged.fsyncs, 0u);
+
+#define EXPECT_SUMMED(field) \
+  EXPECT_EQ(merged.field, a.field + b.field) << #field " is not summed"
+  EXPECT_SUMMED(enclave_calls);
+  EXPECT_SUMMED(enclave_evals);
+  EXPECT_SUMMED(enclave_comparisons);
+  EXPECT_SUMMED(enclave_transitions);
+  EXPECT_SUMMED(enclave_batch_evals);
+  EXPECT_SUMMED(enclave_batched_values);
+  EXPECT_SUMMED(queries_admitted);
+  EXPECT_SUMMED(queries_rejected);
+  EXPECT_SUMMED(queries_expired);
+  EXPECT_SUMMED(lock_waits_expired);
+  EXPECT_SUMMED(pool_expired_dropped);
+  EXPECT_SUMMED(pool_overload_rejected);
+  EXPECT_SUMMED(torn_bytes_dropped);
+  EXPECT_SUMMED(checkpoints_taken);
+  EXPECT_SUMMED(wal_bytes);
+  EXPECT_SUMMED(wal_file_errors);
+  EXPECT_SUMMED(pool_hits);
+  EXPECT_SUMMED(pool_misses);
+  EXPECT_SUMMED(pool_evictions);
+  EXPECT_SUMMED(pool_writebacks);
+  EXPECT_SUMMED(group_commit_batches);
+  EXPECT_SUMMED(commit_sync_requests);
+#undef EXPECT_SUMMED
+
+#define EXPECT_MAXED(field) \
+  EXPECT_EQ(merged.field, std::max(a.field, b.field)) << #field " is not a max"
+  EXPECT_MAXED(fsyncs);
+  EXPECT_MAXED(pool_queue_highwater);
+  EXPECT_MAXED(pool_pinned_highwater);
+#undef EXPECT_MAXED
+
+  const double vpt =
+      static_cast<double>(a.enclave_evals + b.enclave_evals +
+                          a.enclave_comparisons + b.enclave_comparisons) /
+      static_cast<double>(a.enclave_transitions + b.enclave_transitions);
+  EXPECT_DOUBLE_EQ(merged.values_per_transition(), vpt);
+  const double cpf =
+      static_cast<double>(a.commit_sync_requests + b.commit_sync_requests) /
+      static_cast<double>(a.group_commit_batches + b.group_commit_batches);
+  EXPECT_DOUBLE_EQ(merged.commits_per_fsync(), cpf);
+  // Where the shards' ratios differ and their weights differ, the ratio of
+  // sums is not the mean of the ratios; the merge must not average.
+  if (a.values_per_transition() != b.values_per_transition() &&
+      a.enclave_transitions != b.enclave_transitions) {
+    EXPECT_NE(merged.values_per_transition(),
+              (a.values_per_transition() + b.values_per_transition()) / 2);
+  }
+
+  sharded_.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
