@@ -32,8 +32,11 @@ class EnclaveRoutedComparator : public Comparator {
  public:
   EnclaveRoutedComparator(enclave::Enclave* enclave, uint32_t cek)
       : enclave_(enclave), cek_(cek) {}
+  // One comparison is a node of one cell: one call-gate transition.
   Result<int> Compare(Slice a, Slice b) const override {
-    return enclave_->CompareCells(cek_, a, b);
+    std::vector<int> out;
+    AEDB_ASSIGN_OR_RETURN(out, enclave_->CompareCellsBatch(cek_, a, {b}));
+    return out[0];
   }
   const char* Name() const override { return "enclave"; }
 

@@ -232,8 +232,9 @@ int Run() {
 // ---------------------------------------------------------------------------
 // --connscale: does a herd of live-but-idle encrypted connections tax the
 // active ones? Sweeps {0, 1000, 2500, 5000} handshaken idle sockets parked on
-// the event loop while 4 closed-loop driver clients hammer the same point
-// SELECT; reports qps/p50/p99 per herd size and writes BENCH_connscale.json.
+// the event loop while 4 closed-loop driver clients issue the validated point
+// SELECT back to back; reports qps and send-to-response p50/p99 per herd size
+// and writes BENCH_connscale.json.
 // ---------------------------------------------------------------------------
 
 /// Raises RLIMIT_NOFILE to at least `need` fds (both ends of every idle
@@ -370,9 +371,8 @@ int RunConnScale() {
     }
     ScalePoint p;
     p.idle_sockets = target;
-    p.r = tpcc::RunOpenLoop([&] { return d->MakeDriver(); }, d->config,
-                            /*threads=*/4, /*offered_tps=*/1e9,
-                            /*seconds=*/1.5);
+    p.r = tpcc::RunClosedLoop([&] { return d->MakeDriver(); }, d->config,
+                              /*threads=*/4, /*seconds=*/1.5);
     net::ServerStatsSnapshot s = d->net_server->SnapshotStats();
     p.live_connections = s.connections_active;
     p.epoll_wakeups = s.epoll_wakeups;

@@ -123,7 +123,8 @@ int RunDemo(net::Server& server, const server::SqlBackend& db,
   std::printf("demo: enclave batching: %llu batch calls, %llu batched values, "
               "%llu transitions\n",
               static_cast<unsigned long long>(ds.enclave_batch_evals),
-              static_cast<unsigned long long>(ds.enclave_batched_values),
+              static_cast<unsigned long long>(ds.enclave_evals +
+                                              ds.enclave_comparisons),
               static_cast<unsigned long long>(ds.enclave_transitions));
   return 0;
 }

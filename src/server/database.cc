@@ -28,16 +28,17 @@ class EnclaveComparator : public storage::Comparator {
   EnclaveComparator(enclave::Enclave* enclave, uint32_t cek_id)
       : enclave_(enclave), cek_id_(cek_id) {}
 
+  /// One comparison is a node of one cell: it pays the same single
+  /// call-gate transition as a whole-node CompareBatch.
   Result<int> Compare(Slice a, Slice b) const override {
-    if (enclave_ == nullptr) {
-      return Status::KeyNotInEnclave("no enclave configured");
-    }
-    return enclave_->CompareCells(cek_id_, a, b);
+    std::vector<int> out;
+    AEDB_ASSIGN_OR_RETURN(out, CompareBatch(a, {b}));
+    return out[0];
   }
   const char* Name() const override { return "enclave"; }
 
-  /// Each scalar Compare pays a call-gate transition, so batching a node's
-  /// keys into one CompareCellsBatch crossing is a clear win here (and only
+  /// Each Compare pays a call-gate transition, so batching a node's keys
+  /// into one CompareCellsBatch crossing is a clear win here (and only
   /// here — plaintext comparators keep binary search).
   bool PrefersBatch() const override { return true; }
   Result<std::vector<int>> CompareBatch(
@@ -65,30 +66,6 @@ class Database::ServerInvoker : public es::EnclaveInvoker {
 
   void set_pool(enclave::EnclaveWorkerPool* pool) { pool_ = pool; }
 
-  Result<std::vector<Value>> EvalInEnclave(Slice program_bytes,
-                                           const std::vector<Value>& inputs,
-                                           uint32_t n_outputs) override {
-    (void)n_outputs;
-    if (enclave_ == nullptr) {
-      return Status::FailedPrecondition(
-          "query requires an enclave but none is configured");
-    }
-    // An expired query must cost zero further enclave transitions: check the
-    // deadline *before* registering, submitting, or calling into the enclave.
-    auto deadline = enclave::EnclaveWorkerPool::Clock::time_point::max();
-    if (const QueryContext* q = QueryContext::Current(); q != nullptr) {
-      AEDB_RETURN_IF_ERROR(q->Check());
-      deadline = q->deadline();
-    }
-    uint64_t handle;
-    AEDB_ASSIGN_OR_RETURN(handle, HandleFor(program_bytes));
-    if (pool_ != nullptr) {
-      return pool_->SubmitEval(handle, inputs, /*session_id=*/0,
-                               /*authorizing_query=*/{}, deadline);
-    }
-    return enclave_->EvalRegistered(handle, inputs);
-  }
-
   Result<std::vector<std::vector<Value>>> EvalInEnclaveBatch(
       Slice program_bytes, const std::vector<std::vector<Value>>& batch_inputs,
       uint32_t n_outputs) override {
@@ -97,15 +74,8 @@ class Database::ServerInvoker : public es::EnclaveInvoker {
       return Status::FailedPrecondition(
           "query requires an enclave but none is configured");
     }
-    if (batch_inputs.size() == 1) {
-      // Degenerate batch: take the literal scalar path so batch size 1 is
-      // indistinguishable from row-at-a-time execution.
-      std::vector<std::vector<Value>> out(1);
-      AEDB_ASSIGN_OR_RETURN(
-          out[0], EvalInEnclave(program_bytes, batch_inputs[0], n_outputs));
-      return out;
-    }
-    // Expired morsels are dropped before paying a transition (see above).
+    // An expired query must cost zero further enclave transitions: check the
+    // deadline *before* registering, submitting, or calling into the enclave.
     auto deadline = enclave::EnclaveWorkerPool::Clock::time_point::max();
     if (const QueryContext* q = QueryContext::Current(); q != nullptr) {
       AEDB_RETURN_IF_ERROR(q->Check());
@@ -213,8 +183,6 @@ DatabaseStats Database::Stats() const {
     out.enclave_comparisons = s.comparisons.load(std::memory_order_relaxed);
     out.enclave_transitions = s.transitions.load(std::memory_order_relaxed);
     out.enclave_batch_evals = s.batch_evals.load(std::memory_order_relaxed);
-    out.enclave_batched_values =
-        s.batched_values.load(std::memory_order_relaxed);
   }
   out.queries_admitted = queries_admitted_.load(std::memory_order_relaxed);
   out.queries_rejected = queries_rejected_.load(std::memory_order_relaxed);
@@ -578,17 +546,26 @@ Status Database::ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
       rows.emplace_back(rid, std::move(row).value());
       return true;
     });
-    st = inner;
-    for (auto& [rid, row] : rows) {
-      if (!st.ok()) break;
-      auto transformed =
-          enclave_->Eval(program_bytes, {row[column]}, session_id, sql_text);
-      if (!transformed.ok()) {
-        st = transformed.status();
-        break;
-      }
+    // The conversion is registered once and every scanned cell crosses the
+    // call gate in one morsel; the enclave still checks the client's
+    // authorization of `sql_text` for each row.
+    auto convert = [&]() -> Result<std::vector<std::vector<Value>>> {
+      AEDB_RETURN_IF_ERROR(inner);
+      uint64_t handle;
+      AEDB_ASSIGN_OR_RETURN(handle,
+                            enclave_->RegisterExpression(program_bytes));
+      std::vector<std::vector<Value>> cells;
+      cells.reserve(rows.size());
+      for (const auto& entry : rows) cells.push_back({entry.second[column]});
+      return enclave_->EvalRegisteredBatch(handle, cells, session_id, sql_text);
+    };
+    auto converted = convert();
+    st = converted.status();
+    for (size_t i = 0; st.ok() && i < rows.size(); ++i) {
+      const storage::Rid& rid = rows[i].first;
+      const std::vector<Value>& row = rows[i].second;
       std::vector<Value> new_row = row;
-      new_row[column] = (*transformed)[0];
+      new_row[column] = std::move((*converted)[i][0]);
       // Delete + reinsert, maintaining the surviving indexes.
       for (const sql::IndexDef* index : catalog_.TableIndexes(table->id)) {
         Bytes key = sql::Executor::IndexKeyFor(table->columns[index->column],

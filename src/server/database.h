@@ -81,7 +81,6 @@ struct ServerOptions {
   X(enclave_comparisons, Sum)                                               \
   X(enclave_transitions, Sum)                                               \
   X(enclave_batch_evals, Sum)                                               \
-  X(enclave_batched_values, Sum)                                            \
   /* Overload control: admission gate outcomes, queries finished with       \
      kDeadlineExceeded, lock waits cut short by a query deadline, and the   \
      enclave worker pool's queue (morsels shed as kDeadlineExceeded,        \

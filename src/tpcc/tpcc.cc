@@ -673,7 +673,13 @@ BenchcraftResult RunBenchcraftCount(
   return result;
 }
 
-OpenLoopResult RunOpenLoop(
+namespace {
+
+/// Shared body of RunOpenLoop and RunClosedLoop. With `offered_tps` > 0 the
+/// issuers follow the fixed-rate arrival schedule and latency is timed from
+/// the scheduled arrival; with 0 each issuer sends its next query as soon as
+/// the previous one answered and latency is timed from the send.
+OpenLoopResult RunPointLookups(
     const std::function<std::unique_ptr<client::Driver>()>& driver_factory,
     const TpccConfig& config, int threads, double offered_tps, double seconds) {
   using Clock = std::chrono::steady_clock;
@@ -720,14 +726,17 @@ OpenLoopResult RunOpenLoop(
         // heavy overload the schedule has a backlog of past-due arrivals that
         // would otherwise keep the issuers running long after `seconds`.
         if (Clock::now() >= window_end) break;
-        uint64_t n = ticket.fetch_add(1, std::memory_order_relaxed);
-        // Fixed-rate arrival schedule shared across issuers: ticket n is due
-        // at start + n/offered_tps whether or not earlier queries finished.
-        auto arrival =
-            start + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(
-                            static_cast<double>(n) / offered_tps));
-        if (arrival >= window_end) break;
+        Clock::time_point arrival = Clock::now();
+        if (offered_tps > 0) {
+          uint64_t n = ticket.fetch_add(1, std::memory_order_relaxed);
+          // Fixed-rate arrival schedule shared across issuers: ticket n is
+          // due at start + n/offered_tps whether or not earlier queries
+          // finished.
+          arrival = start + std::chrono::duration_cast<Clock::duration>(
+                                std::chrono::duration<double>(
+                                    static_cast<double>(n) / offered_tps));
+          if (arrival >= window_end) break;
+        }
         issued.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::sleep_until(arrival);
         int w = static_cast<int>(rng.Uniform(1, config.warehouses));
@@ -799,6 +808,22 @@ OpenLoopResult RunOpenLoop(
     result.max_ms = latencies_ms.back();
   }
   return result;
+}
+
+}  // namespace
+
+OpenLoopResult RunOpenLoop(
+    const std::function<std::unique_ptr<client::Driver>()>& driver_factory,
+    const TpccConfig& config, int threads, double offered_tps, double seconds) {
+  return RunPointLookups(driver_factory, config, threads, offered_tps,
+                         seconds);
+}
+
+OpenLoopResult RunClosedLoop(
+    const std::function<std::unique_ptr<client::Driver>()>& driver_factory,
+    const TpccConfig& config, int threads, double seconds) {
+  return RunPointLookups(driver_factory, config, threads, /*offered_tps=*/0,
+                         seconds);
 }
 
 }  // namespace aedb::tpcc

@@ -185,8 +185,9 @@ struct OpenLoopResult {
   uint64_t other_errors = 0;  ///< untyped failures (must be 0 under overload)
   uint64_t wrong_results = 0;
   double goodput_tps = 0;  ///< completed / seconds
-  /// Latency of completed queries, measured from the *scheduled* arrival
-  /// (not the send), so queueing delay is charged — no coordinated omission.
+  /// Latency of completed queries. RunOpenLoop measures from the *scheduled*
+  /// arrival (not the send), so queueing delay is charged — no coordinated
+  /// omission; RunClosedLoop measures from the send.
   double p50_ms = 0;
   double p99_ms = 0;
   double max_ms = 0;
@@ -202,6 +203,14 @@ struct OpenLoopResult {
 OpenLoopResult RunOpenLoop(
     const std::function<std::unique_ptr<client::Driver>()>& driver_factory,
     const TpccConfig& config, int threads, double offered_tps, double seconds);
+
+/// Closed-loop variant of the same validated point lookup: each of `threads`
+/// issuers sends its next query as soon as the previous one answered, so the
+/// result measures the server's capacity and per-query latency (send to
+/// response) at that concurrency. `offered` counts the queries sent.
+OpenLoopResult RunClosedLoop(
+    const std::function<std::unique_ptr<client::Driver>()>& driver_factory,
+    const TpccConfig& config, int threads, double seconds);
 
 }  // namespace aedb::tpcc
 

@@ -287,6 +287,47 @@ TEST_F(E2eTest, InitialEncryptionThroughEnclave) {
   EXPECT_FALSE(found);
 }
 
+TEST_F(E2eTest, InitialEncryptionTransitionsIndependentOfRowCount) {
+  ProvisionAndCreateSchema();
+  LoadSampleAccounts();
+  // Attest and install MyCEK first, so both ALTERs below pay only their own
+  // authorization and conversion.
+  auto warm = driver_->Query("SELECT AcctID FROM Account WHERE AcctBal > @b",
+                             {{"b", Value::Int64(150)}});
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+
+  auto encrypt_table = [&](const std::string& name, int rows) -> uint64_t {
+    EXPECT_TRUE(
+        driver_->ExecuteDdl("CREATE TABLE " + name + " (Id INT, S VARCHAR(8))")
+            .ok());
+    for (int i = 0; i < rows; ++i) {
+      auto r = driver_->Query(
+          "INSERT INTO " + name + " (Id, S) VALUES (@i, @s)",
+          {{"i", Value::Int32(i)},
+           {"s", Value::String("v" + std::to_string(i))}});
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    }
+    uint64_t before = db_->Stats().enclave_transitions;
+    Status st = driver_->ExecuteEnclaveDdl(
+        "ALTER TABLE " + name + " ALTER COLUMN S VARCHAR(8) ENCRYPTED WITH ("
+        "COLUMN_ENCRYPTION_KEY = MyCEK, ENCRYPTION_TYPE = Randomized, "
+        "ALGORITHM = 'AEAD_AES_256_CBC_HMAC_SHA_256')");
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return db_->Stats().enclave_transitions - before;
+  };
+  uint64_t small = encrypt_table("Small", 5);
+  uint64_t large = encrypt_table("Large", 50);
+  // The conversion is registered once and crosses the call gate in one
+  // morsel, so its cost does not grow with the table.
+  EXPECT_EQ(large, small);
+
+  auto r = driver_->Query("SELECT Id FROM Large WHERE S = @s",
+                          {{"s", Value::String("v42")}});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].i32(), 42);
+}
+
 TEST_F(E2eTest, UnauthorizedInitialEncryptionRejected) {
   ProvisionAndCreateSchema();
   ASSERT_TRUE(driver_->ExecuteDdl("CREATE TABLE P2 (Id INT, S VARCHAR(8))").ok());

@@ -125,6 +125,14 @@ class EnclaveTest : public ::testing::Test {
     return EncryptionType::Encrypted(EncKind::kRandomized, kCekId, true);
   }
 
+  // A single comparison crosses the call gate as a node of one cell.
+  Result<int> CompareOne(const Bytes& a, const Bytes& b) {
+    std::vector<int> out;
+    AEDB_ASSIGN_OR_RETURN(out, enclave_->CompareCellsBatch(kCekId, a, {b}));
+    EXPECT_EQ(out.size(), 1u);
+    return out[0];
+  }
+
   crypto::RsaPrivateKey author_key_;
   std::unique_ptr<VbsPlatform> platform_;
   EnclaveImage image_;
@@ -158,27 +166,31 @@ TEST_F(EnclaveTest, SessionRejectsDegenerateDh) {
 TEST_F(EnclaveTest, InstallAndCompareCells) {
   OpenSessionWithKey();
   EXPECT_TRUE(enclave_->HasCek(kCekId));
-  auto c = enclave_->CompareCells(kCekId, Cell(Value::Int64(5)),
-                                  Cell(Value::Int64(9)));
+  const EnclaveStats& stats = enclave_->stats();
+  uint64_t calls0 = stats.calls.load(), transitions0 = stats.transitions.load();
+  auto c = CompareOne(Cell(Value::Int64(5)), Cell(Value::Int64(9)));
   ASSERT_TRUE(c.ok());
   EXPECT_LT(*c, 0);
-  auto c2 = enclave_->CompareCells(kCekId, Cell(Value::String("b")),
-                                   Cell(Value::String("b")));
+  // A node of one cell is charged exactly one call, one transition and one
+  // disclosed ordering.
+  EXPECT_EQ(stats.calls.load(), calls0 + 1);
+  EXPECT_EQ(stats.transitions.load(), transitions0 + 1);
+  EXPECT_EQ(stats.comparisons.load(), 1u);
+  auto c2 = CompareOne(Cell(Value::String("b")), Cell(Value::String("b")));
   ASSERT_TRUE(c2.ok());
   EXPECT_EQ(*c2, 0);
 }
 
 TEST_F(EnclaveTest, CompareCellsNullsSortFirst) {
   OpenSessionWithKey();
-  auto c = enclave_->CompareCells(kCekId, Cell(Value::Null(TypeId::kInt64)),
-                                  Cell(Value::Int64(-100)));
+  auto c = CompareOne(Cell(Value::Null(TypeId::kInt64)),
+                      Cell(Value::Int64(-100)));
   ASSERT_TRUE(c.ok());
   EXPECT_LT(*c, 0);
 }
 
 TEST_F(EnclaveTest, CompareWithoutKeyFails) {
-  auto c = enclave_->CompareCells(kCekId, Cell(Value::Int64(1)),
-                                  Cell(Value::Int64(2)));
+  auto c = CompareOne(Cell(Value::Int64(1)), Cell(Value::Int64(2)));
   EXPECT_TRUE(c.status().IsKeyNotInEnclave());
 }
 
@@ -216,12 +228,20 @@ TEST_F(EnclaveTest, EvalRegisteredExpression) {
   p.SetData(0, TypeId::kBool);
   auto handle = enclave_->RegisterExpression(p.Serialize());
   ASSERT_TRUE(handle.ok());
-  auto r = enclave_->EvalRegistered(
-      *handle, {Value::Binary(Cell(Value::String("SMITH"))),
-                Value::Binary(Cell(Value::String("SMITH")))});
+  const EnclaveStats& stats = enclave_->stats();
+  uint64_t calls0 = stats.calls.load(), transitions0 = stats.transitions.load();
+  auto r = enclave_->EvalRegisteredBatch(
+      *handle, {{Value::Binary(Cell(Value::String("SMITH"))),
+                 Value::Binary(Cell(Value::String("SMITH")))}});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE((*r)[0].bool_v());
-  EXPECT_GE(enclave_->stats().evals.load(), 1u);
+  ASSERT_EQ(r->size(), 1u);
+  EXPECT_TRUE((*r)[0][0].bool_v());
+  EXPECT_GE(stats.evals.load(), 1u);
+  // A morsel of one is charged exactly one call, transition and eval.
+  EXPECT_EQ(stats.calls.load(), calls0 + 1);
+  EXPECT_EQ(stats.transitions.load(), transitions0 + 1);
+  EXPECT_EQ(stats.evals.load(), 1u);
+  EXPECT_EQ(stats.batch_evals.load(), 1u);
 }
 
 TEST_F(EnclaveTest, EncryptOracleRequiresAuthorization) {
@@ -230,9 +250,12 @@ TEST_F(EnclaveTest, EncryptOracleRequiresAuthorization) {
   p.GetData(0, TypeId::kInt64);
   p.SetData(0, TypeId::kInt64, Rnd());
   std::string ddl = "ALTER TABLE T ALTER COLUMN value ENCRYPTED";
+  auto handle = enclave_->RegisterExpression(p.Serialize());
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
 
   // Without client authorization: denied.
-  auto r = enclave_->Eval(p.Serialize(), {Value::Int64(7)}, session_id_, ddl);
+  auto r = enclave_->EvalRegisteredBatch(*handle, {{Value::Int64(7)}},
+                                         session_id_, ddl);
   EXPECT_TRUE(r.status().IsPermissionDenied()) << r.status().ToString();
 
   // Client signs the query hash into the session; now it runs.
@@ -246,18 +269,19 @@ TEST_F(EnclaveTest, EncryptOracleRequiresAuthorization) {
   ++next_nonce_;
   ASSERT_TRUE(st.ok()) << st.ToString();
 
-  auto r2 = enclave_->Eval(p.Serialize(), {Value::Int64(7)}, session_id_, ddl);
+  auto r2 = enclave_->EvalRegisteredBatch(*handle, {{Value::Int64(7)}},
+                                          session_id_, ddl);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   // Round trip: the produced cell decrypts to the input under the CEK.
   crypto::CellCodec codec(cek_);
-  auto back = codec.Decrypt((*r2)[0].bin());
+  auto back = codec.Decrypt((*r2)[0][0].bin());
   ASSERT_TRUE(back.ok());
   size_t off = 0;
   EXPECT_TRUE(*Value::Decode(*back, &off) == Value::Int64(7));
 
   // A *different* query text is still denied.
-  auto r3 = enclave_->Eval(p.Serialize(), {Value::Int64(7)}, session_id_,
-                           "ALTER TABLE Other ...");
+  auto r3 = enclave_->EvalRegisteredBatch(*handle, {{Value::Int64(7)}},
+                                          session_id_, "ALTER TABLE Other ...");
   EXPECT_TRUE(r3.status().IsPermissionDenied());
 }
 
@@ -266,8 +290,7 @@ TEST_F(EnclaveTest, ClearKeysSimulatesRestart) {
   EXPECT_TRUE(enclave_->HasCek(kCekId));
   enclave_->ClearKeys();
   EXPECT_FALSE(enclave_->HasCek(kCekId));
-  auto c = enclave_->CompareCells(kCekId, Cell(Value::Int64(1)),
-                                  Cell(Value::Int64(2)));
+  auto c = CompareOne(Cell(Value::Int64(1)), Cell(Value::Int64(2)));
   EXPECT_TRUE(c.status().IsKeyNotInEnclave());
 }
 
@@ -279,9 +302,11 @@ TEST_F(EnclaveTest, NestedTMEvalRejected) {
   es::EsProgram outer;
   outer.TMEval(inner, 0, 1);
   outer.SetData(0, TypeId::kInt32);
+  // Registration is the only way a program enters the enclave, so the
+  // rejection there means the program is never evaluated.
   EXPECT_TRUE(
       enclave_->RegisterExpression(outer.Serialize()).status().IsSecurityError());
-  EXPECT_TRUE(enclave_->Eval(outer.Serialize(), {}).status().IsSecurityError());
+  EXPECT_EQ(enclave_->stats().evals.load(), 0u);
 }
 
 TEST_F(EnclaveTest, WorkerPoolEvaluates) {
@@ -298,11 +323,12 @@ TEST_F(EnclaveTest, WorkerPoolEvaluates) {
   opts.num_threads = 2;
   EnclaveWorkerPool pool(enclave_.get(), opts);
   for (int i = 0; i < 50; ++i) {
-    auto r = pool.SubmitEval(
-        *handle, {Value::Binary(Cell(Value::Int64(i))),
-                  Value::Binary(Cell(Value::Int64(25)))});
+    auto r = pool.SubmitEvalBatch(
+        *handle, {{Value::Binary(Cell(Value::Int64(i))),
+                   Value::Binary(Cell(Value::Int64(25)))}});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ((*r)[0].bool_v(), i < 25);
+    ASSERT_EQ(r->size(), 1u);
+    EXPECT_EQ((*r)[0][0].bool_v(), i < 25);
   }
 }
 
@@ -314,7 +340,7 @@ TEST_F(EnclaveTest, TransitionCostCharged) {
   auto& e = *loaded;
   uint64_t before = e->stats().transitions.load();
   (void)e->HasCek(1);  // not an ecall; no charge
-  auto r = e->CompareCells(1, Bytes{}, Bytes{});
+  auto r = e->CompareCellsBatch(1, Bytes{}, {Bytes{}});
   (void)r;
   EXPECT_EQ(e->stats().transitions.load(), before + 1);
 }

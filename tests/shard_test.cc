@@ -374,7 +374,6 @@ TEST_F(ShardTest, MergedStatsFollowEachFieldsRule) {
   EXPECT_SUMMED(enclave_comparisons);
   EXPECT_SUMMED(enclave_transitions);
   EXPECT_SUMMED(enclave_batch_evals);
-  EXPECT_SUMMED(enclave_batched_values);
   EXPECT_SUMMED(queries_admitted);
   EXPECT_SUMMED(queries_rejected);
   EXPECT_SUMMED(queries_expired);
