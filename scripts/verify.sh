@@ -70,13 +70,14 @@ if lane --asan; then
   # cover recovery, checkpoints and the router's 2PC and merged stats.
   # enclave_test, es_test, overload_test and e2e_test cover the enclave call
   # gate: morsels of one, the worker pool's queue and ALTER COLUMN's
-  # single-morsel conversion.
+  # single-morsel conversion. crypto_test covers the SHA-NI / AES-NI kernels
+  # against the portable ones (differential and published vectors).
   run cmake --build build-asan -j "$JOBS" --target fault_test \
       fault_torture_test storage_test net_test server_test sql_test \
       batch_equiv_test durability_test shard_test enclave_test es_test \
-      overload_test e2e_test
+      overload_test e2e_test crypto_test
   ASAN_OPTIONS=detect_leaks=0 run ctest --test-dir build-asan \
-      -R '^(fault_test|fault_torture_test|storage_test|net_test|server_test|sql_test|batch_equiv_test|durability_test|shard_test|enclave_test|es_test|overload_test|e2e_test)$' \
+      -R '^(fault_test|fault_torture_test|storage_test|net_test|server_test|sql_test|batch_equiv_test|durability_test|shard_test|enclave_test|es_test|overload_test|e2e_test|crypto_test)$' \
       --output-on-failure
 fi
 

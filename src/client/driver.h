@@ -12,6 +12,7 @@
 #include "attestation/attestation.h"
 #include "client/retry.h"
 #include "client/transport.h"
+#include "crypto/cell_codec.h"
 #include "keys/key_provider.h"
 #include "server/database.h"
 
@@ -149,7 +150,15 @@ class Driver {
                                       const NamedParams& params, uint64_t txn);
   Result<const server::DescribeResult*> Describe(const std::string& sql);
   Status VerifyAndCacheKeys(const server::DescribeResult& describe);
-  Result<Bytes> CekMaterial(uint32_t cek_id);
+  /// A decrypted CEK (§4.1) and the cell codec keyed from it, built together
+  /// on first use. Entries are never replaced or erased, so the pointer
+  /// `Cek` returns stays valid for the driver's lifetime.
+  struct CachedCek {
+    explicit CachedCek(Bytes key) : material(std::move(key)), codec(material) {}
+    const Bytes material;
+    const crypto::CellCodec codec;
+  };
+  Result<const CachedCek*> Cek(uint32_t cek_id);
   Status EnsureSessionExists();
   Status EnsureEnclaveKeys(const std::vector<uint32_t>& cek_ids);
   Result<Bytes> SealForEnclave(uint32_t shard, Slice body,
@@ -167,7 +176,7 @@ class Driver {
 
   std::mutex mu_;
   std::map<std::string, server::DescribeResult> describe_cache_;
-  std::map<uint32_t, Bytes> cek_cache_;           // decrypted CEKs (§4.1)
+  std::map<uint32_t, CachedCek> cek_cache_;
   std::map<uint32_t, server::KeyDescription> key_meta_;
   // Session state (shared secret cached "across the entire client process"),
   // one entry per server shard. sessions_[0].session_id mirrors into

@@ -3,6 +3,12 @@
 #include <cassert>
 #include <cstring>
 
+#include "crypto/kernels.h"
+
+#ifdef AEDB_CRYPTO_X86
+#include <immintrin.h>
+#endif
+
 namespace aedb::crypto {
 
 namespace {
@@ -132,131 +138,175 @@ Aes256::Aes256(Slice key) {
   assert(key.size() == kKeySize);
   constexpr int nk = 8;
   constexpr int nw = 4 * (kRounds + 1);
+  uint32_t w[nw];
   for (int i = 0; i < nk; ++i) {
-    round_keys_[i] = LoadBe32(key.data() + 4 * i);
+    w[i] = LoadBe32(key.data() + 4 * i);
   }
   for (int i = nk; i < nw; ++i) {
-    uint32_t temp = round_keys_[i - 1];
+    uint32_t temp = w[i - 1];
     if (i % nk == 0) {
       temp = SubWord(RotWord(temp)) ^
              (static_cast<uint32_t>(kRcon[i / nk]) << 24);
     } else if (i % nk == 4) {
       temp = SubWord(temp);
     }
-    round_keys_[i] = round_keys_[i - nk] ^ temp;
+    w[i] = w[i - nk] ^ temp;
   }
   // Equivalent inverse cipher: reverse the schedule and push the middle round
-  // keys through InvMixColumns so DecryptBlock can reuse the T-table shape.
-  for (int c = 0; c < 4; ++c) {
-    dec_round_keys_[c] = round_keys_[4 * kRounds + c];
-    dec_round_keys_[4 * kRounds + c] = round_keys_[c];
-  }
-  for (int round = 1; round < kRounds; ++round) {
+  // keys through InvMixColumns.
+  for (int round = 0; round <= kRounds; ++round) {
     for (int c = 0; c < 4; ++c) {
-      dec_round_keys_[4 * round + c] =
-          InvMixColumn(round_keys_[4 * (kRounds - round) + c]);
+      uint32_t enc = w[4 * round + c];
+      uint32_t dec = w[4 * (kRounds - round) + c];
+      if (round > 0 && round < kRounds) dec = InvMixColumn(dec);
+      StoreBe32(round_keys_ + 4 * (4 * round + c), enc);
+      StoreBe32(dec_round_keys_ + 4 * (4 * round + c), dec);
     }
   }
 }
 
 void Aes256::EncryptBlock(const uint8_t in[kBlockSize],
                           uint8_t out[kBlockSize]) const {
-  const uint32_t* rk = round_keys_;
-  uint32_t s0 = LoadBe32(in) ^ rk[0];
-  uint32_t s1 = LoadBe32(in + 4) ^ rk[1];
-  uint32_t s2 = LoadBe32(in + 8) ^ rk[2];
-  uint32_t s3 = LoadBe32(in + 12) ^ rk[3];
-  for (int round = 1; round < kRounds; ++round) {
-    rk += 4;
+  internal::ActiveKernels().aes256_encrypt(round_keys_, in, out);
+}
+
+void Aes256::DecryptBlock(const uint8_t in[kBlockSize],
+                          uint8_t out[kBlockSize]) const {
+  internal::ActiveKernels().aes256_decrypt(dec_round_keys_, in, out);
+}
+
+namespace internal {
+
+void Aes256EncryptPortable(const uint8_t* round_keys, const uint8_t in[16],
+                           uint8_t out[16]) {
+  const uint8_t* rk = round_keys;
+  uint32_t s0 = LoadBe32(in) ^ LoadBe32(rk);
+  uint32_t s1 = LoadBe32(in + 4) ^ LoadBe32(rk + 4);
+  uint32_t s2 = LoadBe32(in + 8) ^ LoadBe32(rk + 8);
+  uint32_t s3 = LoadBe32(in + 12) ^ LoadBe32(rk + 12);
+  for (int round = 1; round < Aes256::kRounds; ++round) {
+    rk += Aes256::kBlockSize;
     uint32_t t0 = kRound.te[0][s0 >> 24] ^ kRound.te[1][(s1 >> 16) & 0xff] ^
                   kRound.te[2][(s2 >> 8) & 0xff] ^ kRound.te[3][s3 & 0xff] ^
-                  rk[0];
+                  LoadBe32(rk);
     uint32_t t1 = kRound.te[0][s1 >> 24] ^ kRound.te[1][(s2 >> 16) & 0xff] ^
                   kRound.te[2][(s3 >> 8) & 0xff] ^ kRound.te[3][s0 & 0xff] ^
-                  rk[1];
+                  LoadBe32(rk + 4);
     uint32_t t2 = kRound.te[0][s2 >> 24] ^ kRound.te[1][(s3 >> 16) & 0xff] ^
                   kRound.te[2][(s0 >> 8) & 0xff] ^ kRound.te[3][s1 & 0xff] ^
-                  rk[2];
+                  LoadBe32(rk + 8);
     uint32_t t3 = kRound.te[0][s3 >> 24] ^ kRound.te[1][(s0 >> 16) & 0xff] ^
                   kRound.te[2][(s1 >> 8) & 0xff] ^ kRound.te[3][s2 & 0xff] ^
-                  rk[3];
+                  LoadBe32(rk + 12);
     s0 = t0;
     s1 = t1;
     s2 = t2;
     s3 = t3;
   }
-  rk += 4;
+  rk += Aes256::kBlockSize;
   const uint8_t* sb = kTables.sbox;
   StoreBe32(out, ((static_cast<uint32_t>(sb[s0 >> 24]) << 24) |
                   (static_cast<uint32_t>(sb[(s1 >> 16) & 0xff]) << 16) |
                   (static_cast<uint32_t>(sb[(s2 >> 8) & 0xff]) << 8) |
                   static_cast<uint32_t>(sb[s3 & 0xff])) ^
-                     rk[0]);
+                     LoadBe32(rk));
   StoreBe32(out + 4, ((static_cast<uint32_t>(sb[s1 >> 24]) << 24) |
                       (static_cast<uint32_t>(sb[(s2 >> 16) & 0xff]) << 16) |
                       (static_cast<uint32_t>(sb[(s3 >> 8) & 0xff]) << 8) |
                       static_cast<uint32_t>(sb[s0 & 0xff])) ^
-                         rk[1]);
+                         LoadBe32(rk + 4));
   StoreBe32(out + 8, ((static_cast<uint32_t>(sb[s2 >> 24]) << 24) |
                       (static_cast<uint32_t>(sb[(s3 >> 16) & 0xff]) << 16) |
                       (static_cast<uint32_t>(sb[(s0 >> 8) & 0xff]) << 8) |
                       static_cast<uint32_t>(sb[s1 & 0xff])) ^
-                         rk[2]);
+                         LoadBe32(rk + 8));
   StoreBe32(out + 12, ((static_cast<uint32_t>(sb[s3 >> 24]) << 24) |
                        (static_cast<uint32_t>(sb[(s0 >> 16) & 0xff]) << 16) |
                        (static_cast<uint32_t>(sb[(s1 >> 8) & 0xff]) << 8) |
                        static_cast<uint32_t>(sb[s2 & 0xff])) ^
-                          rk[3]);
+                          LoadBe32(rk + 12));
 }
 
-void Aes256::DecryptBlock(const uint8_t in[kBlockSize],
-                          uint8_t out[kBlockSize]) const {
-  const uint32_t* rk = dec_round_keys_;
-  uint32_t s0 = LoadBe32(in) ^ rk[0];
-  uint32_t s1 = LoadBe32(in + 4) ^ rk[1];
-  uint32_t s2 = LoadBe32(in + 8) ^ rk[2];
-  uint32_t s3 = LoadBe32(in + 12) ^ rk[3];
-  for (int round = 1; round < kRounds; ++round) {
-    rk += 4;
+void Aes256DecryptPortable(const uint8_t* dec_round_keys, const uint8_t in[16],
+                           uint8_t out[16]) {
+  const uint8_t* rk = dec_round_keys;
+  uint32_t s0 = LoadBe32(in) ^ LoadBe32(rk);
+  uint32_t s1 = LoadBe32(in + 4) ^ LoadBe32(rk + 4);
+  uint32_t s2 = LoadBe32(in + 8) ^ LoadBe32(rk + 8);
+  uint32_t s3 = LoadBe32(in + 12) ^ LoadBe32(rk + 12);
+  for (int round = 1; round < Aes256::kRounds; ++round) {
+    rk += Aes256::kBlockSize;
     uint32_t t0 = kRound.td[0][s0 >> 24] ^ kRound.td[1][(s3 >> 16) & 0xff] ^
                   kRound.td[2][(s2 >> 8) & 0xff] ^ kRound.td[3][s1 & 0xff] ^
-                  rk[0];
+                  LoadBe32(rk);
     uint32_t t1 = kRound.td[0][s1 >> 24] ^ kRound.td[1][(s0 >> 16) & 0xff] ^
                   kRound.td[2][(s3 >> 8) & 0xff] ^ kRound.td[3][s2 & 0xff] ^
-                  rk[1];
+                  LoadBe32(rk + 4);
     uint32_t t2 = kRound.td[0][s2 >> 24] ^ kRound.td[1][(s1 >> 16) & 0xff] ^
                   kRound.td[2][(s0 >> 8) & 0xff] ^ kRound.td[3][s3 & 0xff] ^
-                  rk[2];
+                  LoadBe32(rk + 8);
     uint32_t t3 = kRound.td[0][s3 >> 24] ^ kRound.td[1][(s2 >> 16) & 0xff] ^
                   kRound.td[2][(s1 >> 8) & 0xff] ^ kRound.td[3][s0 & 0xff] ^
-                  rk[3];
+                  LoadBe32(rk + 12);
     s0 = t0;
     s1 = t1;
     s2 = t2;
     s3 = t3;
   }
-  rk += 4;
+  rk += Aes256::kBlockSize;
   const uint8_t* isb = kTables.inv_sbox;
   StoreBe32(out, ((static_cast<uint32_t>(isb[s0 >> 24]) << 24) |
                   (static_cast<uint32_t>(isb[(s3 >> 16) & 0xff]) << 16) |
                   (static_cast<uint32_t>(isb[(s2 >> 8) & 0xff]) << 8) |
                   static_cast<uint32_t>(isb[s1 & 0xff])) ^
-                     rk[0]);
+                     LoadBe32(rk));
   StoreBe32(out + 4, ((static_cast<uint32_t>(isb[s1 >> 24]) << 24) |
                       (static_cast<uint32_t>(isb[(s0 >> 16) & 0xff]) << 16) |
                       (static_cast<uint32_t>(isb[(s3 >> 8) & 0xff]) << 8) |
                       static_cast<uint32_t>(isb[s2 & 0xff])) ^
-                         rk[1]);
+                         LoadBe32(rk + 4));
   StoreBe32(out + 8, ((static_cast<uint32_t>(isb[s2 >> 24]) << 24) |
                       (static_cast<uint32_t>(isb[(s1 >> 16) & 0xff]) << 16) |
                       (static_cast<uint32_t>(isb[(s0 >> 8) & 0xff]) << 8) |
                       static_cast<uint32_t>(isb[s3 & 0xff])) ^
-                         rk[2]);
+                         LoadBe32(rk + 8));
   StoreBe32(out + 12, ((static_cast<uint32_t>(isb[s3 >> 24]) << 24) |
                        (static_cast<uint32_t>(isb[(s2 >> 16) & 0xff]) << 16) |
                        (static_cast<uint32_t>(isb[(s1 >> 8) & 0xff]) << 8) |
                        static_cast<uint32_t>(isb[s0 & 0xff])) ^
-                          rk[3]);
+                          LoadBe32(rk + 12));
 }
+
+#ifdef AEDB_CRYPTO_X86
+// aesenc/aesdec run one full round each; the decryption schedule is the
+// equivalent inverse cipher's, as aesdec expects.
+__attribute__((target("aes,sse2"))) void Aes256EncryptAesNi(
+    const uint8_t* round_keys, const uint8_t in[16], uint8_t out[16]) {
+  const __m128i* rk = reinterpret_cast<const __m128i*>(round_keys);
+  __m128i s = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)),
+      _mm_loadu_si128(rk));
+  for (int round = 1; round < 14; ++round) {
+    s = _mm_aesenc_si128(s, _mm_loadu_si128(rk + round));
+  }
+  s = _mm_aesenclast_si128(s, _mm_loadu_si128(rk + 14));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+}
+
+__attribute__((target("aes,sse2"))) void Aes256DecryptAesNi(
+    const uint8_t* dec_round_keys, const uint8_t in[16], uint8_t out[16]) {
+  const __m128i* rk = reinterpret_cast<const __m128i*>(dec_round_keys);
+  __m128i s = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)),
+      _mm_loadu_si128(rk));
+  for (int round = 1; round < 14; ++round) {
+    s = _mm_aesdec_si128(s, _mm_loadu_si128(rk + round));
+  }
+  s = _mm_aesdeclast_si128(s, _mm_loadu_si128(rk + 14));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+}
+#endif  // AEDB_CRYPTO_X86
+
+}  // namespace internal
 
 }  // namespace aedb::crypto

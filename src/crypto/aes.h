@@ -8,7 +8,9 @@
 namespace aedb::crypto {
 
 /// AES-256 block cipher (FIPS 197). Only the 256-bit key size is supported,
-/// matching the paper's AEAD_AES_256_CBC_HMAC_SHA_256 cell algorithm.
+/// matching the paper's AEAD_AES_256_CBC_HMAC_SHA_256 cell algorithm. The
+/// key schedule is built here; the block functions are the active kernels
+/// (AES-NI where the CPU has it, see crypto/kernels.h).
 class Aes256 {
  public:
   static constexpr size_t kBlockSize = 16;
@@ -22,10 +24,11 @@ class Aes256 {
   void DecryptBlock(const uint8_t in[kBlockSize], uint8_t out[kBlockSize]) const;
 
  private:
-  uint32_t round_keys_[4 * (kRounds + 1)];
+  /// Round keys in FIPS 197 byte order, one 16-byte block per round.
+  alignas(16) uint8_t round_keys_[kBlockSize * (kRounds + 1)];
   /// Equivalent-inverse-cipher schedule (InvMixColumns applied to the middle
-  /// encryption round keys) so decryption can run on the same T-table shape.
-  uint32_t dec_round_keys_[4 * (kRounds + 1)];
+  /// encryption round keys), the shape both the Td tables and aesdec expect.
+  alignas(16) uint8_t dec_round_keys_[kBlockSize * (kRounds + 1)];
 };
 
 }  // namespace aedb::crypto

@@ -3,43 +3,40 @@
 #include <cstring>
 #include <random>
 
-#include "crypto/hmac.h"
-
 namespace aedb::crypto {
 
-HmacDrbg::HmacDrbg(Slice entropy, Slice personalization) {
-  key_.assign(HmacSha256::kDigestSize, 0x00);
-  v_.assign(HmacSha256::kDigestSize, 0x01);
+HmacDrbg::HmacDrbg(Slice entropy, Slice personalization)
+    : key_(Bytes(HmacSha256::kDigestSize, 0x00)),
+      v_(HmacSha256::kDigestSize, 0x01) {
   Bytes seed(entropy.data(), entropy.data() + entropy.size());
   seed.insert(seed.end(), personalization.data(),
               personalization.data() + personalization.size());
   UpdateState(seed);
 }
 
+void HmacDrbg::StepV() {
+  HmacSha256 h = key_;
+  h.Update(v_);
+  v_ = h.Finish();
+}
+
 void HmacDrbg::UpdateState(Slice provided) {
-  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
-  HmacSha256 h0(key_);
-  h0.Update(v_);
-  uint8_t zero = 0x00;
-  h0.Update(Slice(&zero, 1));
-  h0.Update(provided);
-  key_ = h0.Finish();
-  v_ = HmacSha256::Mac(key_, v_);
-  if (!provided.empty()) {
-    HmacSha256 h1(key_);
-    h1.Update(v_);
-    uint8_t one = 0x01;
-    h1.Update(Slice(&one, 1));
-    h1.Update(provided);
-    key_ = h1.Finish();
-    v_ = HmacSha256::Mac(key_, v_);
+  // K = HMAC(K, V || round || provided); V = HMAC(K, V) — round 0x00, then
+  // round 0x01 only when data was provided (SP 800-90A §10.1.2.2).
+  for (uint8_t round = 0; round < (provided.empty() ? 1 : 2); ++round) {
+    HmacSha256 h = key_;
+    h.Update(v_);
+    h.Update(Slice(&round, 1));
+    h.Update(provided);
+    key_ = HmacSha256(h.Finish());
+    StepV();
   }
 }
 
 void HmacDrbg::Generate(uint8_t* out, size_t n) {
   size_t produced = 0;
   while (produced < n) {
-    v_ = HmacSha256::Mac(key_, v_);
+    StepV();
     size_t take = n - produced < v_.size() ? n - produced : v_.size();
     std::memcpy(out + produced, v_.data(), take);
     produced += take;

@@ -2,6 +2,7 @@
 #define AEDB_CRYPTO_DRBG_H_
 
 #include "common/bytes.h"
+#include "crypto/hmac.h"
 
 namespace aedb::crypto {
 
@@ -22,9 +23,13 @@ class HmacDrbg {
 
  private:
   void UpdateState(Slice provided);
+  /// V = HMAC(K, V), from the keyed midstate.
+  void StepV();
 
-  Bytes key_;  // K
-  Bytes v_;    // V
+  /// K as a keyed HMAC midstate, rebuilt only when K changes, so each
+  /// HMAC(K, ...) costs its data compressions alone.
+  HmacSha256 key_;
+  Bytes v_;  // V
 };
 
 /// Process-wide DRBG seeded from std::random_device; thread-safe via a

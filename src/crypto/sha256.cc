@@ -2,11 +2,17 @@
 
 #include <cstring>
 
+#include "crypto/kernels.h"
+
+#ifdef AEDB_CRYPTO_X86
+#include <immintrin.h>
+#endif
+
 namespace aedb::crypto {
 
 namespace {
 
-constexpr uint32_t kK[64] = {
+alignas(16) constexpr uint32_t kK[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -36,7 +42,9 @@ void Sha256::Reset() {
   buffer_len_ = 0;
 }
 
-void Sha256::ProcessBlock(const uint8_t* p) {
+namespace {
+
+void CompressBlock(uint32_t state[8], const uint8_t* p) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<uint32_t>(p[4 * i]) << 24) |
@@ -49,8 +57,8 @@ void Sha256::ProcessBlock(const uint8_t* p) {
     uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
     uint32_t ch = (e & f) ^ (~e & g);
@@ -67,14 +75,81 @@ void Sha256::ProcessBlock(const uint8_t* p) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+}  // namespace
+
+namespace internal {
+
+void Sha256CompressPortable(uint32_t state[8], const uint8_t* blocks,
+                            size_t nblocks) {
+  for (; nblocks > 0; --nblocks, blocks += Sha256::kBlockSize) {
+    CompressBlock(state, blocks);
+  }
+}
+
+#ifdef AEDB_CRYPTO_X86
+// SHA-NI keeps the working variables as two vectors, ABEF and CDGH; each
+// sha256rnds2 runs two rounds, and sha256msg1/msg2 extend the message
+// schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void Sha256CompressShaNi(
+    uint32_t state[8], const uint8_t* blocks, size_t nblocks) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];  // the last four message groups, w[g % 4] = W[g]
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i m;
+      if (g < 4) {
+        m = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * g)),
+            kByteSwap);
+      } else {
+        // W[g] = msg2(msg1(W[g-4], W[g-3]) + words 4g-7..4g-4, W[g-1])
+        m = _mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]);
+        m = _mm_add_epi32(
+            m, _mm_alignr_epi8(w[(g + 3) & 3], w[(g + 2) & 3], 4));
+        m = _mm_sha256msg2_epu32(m, w[(g + 3) & 3]);
+      }
+      w[g & 3] = m;
+      __m128i wk = _mm_add_epi32(
+          m, _mm_load_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif  // AEDB_CRYPTO_X86
+
+}  // namespace internal
+
+void Sha256::Compress(const uint8_t* blocks, size_t nblocks) {
+  internal::ActiveKernels().sha256_compress(state_, blocks, nblocks);
 }
 
 void Sha256::Update(Slice data) {
@@ -90,14 +165,14 @@ void Sha256::Update(Slice data) {
     p += take;
     n -= take;
     if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
+      Compress(buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (n >= kBlockSize) {
-    ProcessBlock(p);
-    p += kBlockSize;
-    n -= kBlockSize;
+  if (n >= kBlockSize) {
+    Compress(p, n / kBlockSize);
+    p += n - n % kBlockSize;
+    n %= kBlockSize;
   }
   if (n > 0) {
     std::memcpy(buffer_, p, n);
@@ -106,16 +181,18 @@ void Sha256::Update(Slice data) {
 }
 
 std::array<uint8_t, Sha256::kDigestSize> Sha256::Finish() {
+  // Pad in one pass: the buffered bytes, 0x80, zeros, and the 64-bit
+  // big-endian bit length fill one block, or two when fewer than 9 bytes of
+  // the first are free.
+  uint8_t tail[2 * kBlockSize] = {};
+  std::memcpy(tail, buffer_, buffer_len_);
+  tail[buffer_len_] = 0x80;
+  size_t tail_len = buffer_len_ + 9 <= kBlockSize ? kBlockSize : 2 * kBlockSize;
   uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(Slice(&pad, 1));
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(Slice(&zero, 1));
-  uint8_t len_be[8];
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    tail[tail_len - 8 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  Update(Slice(len_be, 8));
+  Compress(tail, tail_len / kBlockSize);
   std::array<uint8_t, kDigestSize> out;
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<uint8_t>(state_[i] >> 24);

@@ -10,6 +10,8 @@ namespace aedb::crypto {
 
 /// Incremental SHA-256 (FIPS 180-4). Used for deterministic IVs, key
 /// derivation labels, attestation measurements, and signature digests.
+/// Buffering and padding live here; the compression function is the active
+/// kernel (SHA-NI where the CPU has it, see crypto/kernels.h).
 class Sha256 {
  public:
   static constexpr size_t kDigestSize = 32;
@@ -27,7 +29,7 @@ class Sha256 {
   static Bytes Hash(Slice data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
+  void Compress(const uint8_t* blocks, size_t nblocks);
 
   uint32_t state_[8];
   uint64_t total_len_;

@@ -250,6 +250,7 @@ Result<uint64_t> Enclave::RegisterExpression(Slice program_bytes) {
   std::unique_lock lock(state_mu_);
   uint64_t handle = next_handle_++;
   registered_.emplace(handle, std::move(program));
+  stats_.registered_programs.fetch_add(1, std::memory_order_relaxed);
   return handle;
 }
 

@@ -90,6 +90,9 @@ struct EnclaveStats {
   /// CompareCellsBatch entries); the rows and cells they carried are
   /// `evals + comparisons`.
   std::atomic<uint64_t> batch_evals{0};
+  /// Gauge: expressions registered and held by handle (never released, so
+  /// callers register each distinct program once).
+  std::atomic<uint64_t> registered_programs{0};
 };
 
 /// \brief The AE enclave: trusted code and state living inside the simulated

@@ -90,8 +90,9 @@ class Database::ServerInvoker : public es::EnclaveInvoker {
     return enclave_->EvalRegisteredBatch(handle, batch_inputs);
   }
 
- private:
   /// Registers each distinct program once; later calls reuse the handle.
+  /// ALTER COLUMN's conversions come through here too, so the enclave holds
+  /// one registration per distinct program.
   Result<uint64_t> HandleFor(Slice program_bytes) {
     std::lock_guard<std::mutex> lock(mu_);
     std::string key(reinterpret_cast<const char*>(program_bytes.data()),
@@ -104,6 +105,7 @@ class Database::ServerInvoker : public es::EnclaveInvoker {
     return handle;
   }
 
+ private:
   enclave::Enclave* enclave_;
   enclave::EnclaveWorkerPool* pool_;
   std::mutex mu_;
@@ -546,14 +548,13 @@ Status Database::ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
       rows.emplace_back(rid, std::move(row).value());
       return true;
     });
-    // The conversion is registered once and every scanned cell crosses the
-    // call gate in one morsel; the enclave still checks the client's
-    // authorization of `sql_text` for each row.
+    // The conversion is registered once per distinct program and every
+    // scanned cell crosses the call gate in one morsel; the enclave still
+    // checks the client's authorization of `sql_text` for each row.
     auto convert = [&]() -> Result<std::vector<std::vector<Value>>> {
       AEDB_RETURN_IF_ERROR(inner);
       uint64_t handle;
-      AEDB_ASSIGN_OR_RETURN(handle,
-                            enclave_->RegisterExpression(program_bytes));
+      AEDB_ASSIGN_OR_RETURN(handle, invoker_->HandleFor(program_bytes));
       std::vector<std::vector<Value>> cells;
       cells.reserve(rows.size());
       for (const auto& entry : rows) cells.push_back({entry.second[column]});

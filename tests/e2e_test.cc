@@ -315,10 +315,13 @@ TEST_F(E2eTest, InitialEncryptionTransitionsIndependentOfRowCount) {
     EXPECT_TRUE(st.ok()) << st.ToString();
     return db_->Stats().enclave_transitions - before;
   };
+  // The enclave registers each distinct conversion program once; warm it
+  // too, so both ALTERs below reuse the handle.
+  encrypt_table("Warm", 1);
   uint64_t small = encrypt_table("Small", 5);
   uint64_t large = encrypt_table("Large", 50);
-  // The conversion is registered once and crosses the call gate in one
-  // morsel, so its cost does not grow with the table.
+  // The conversion crosses the call gate in one morsel, so its cost does not
+  // grow with the table.
   EXPECT_EQ(large, small);
 
   auto r = driver_->Query("SELECT Id FROM Large WHERE S = @s",
@@ -326,6 +329,45 @@ TEST_F(E2eTest, InitialEncryptionTransitionsIndependentOfRowCount) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->rows.size(), 1u);
   EXPECT_EQ(r->rows[0][0].i32(), 42);
+}
+
+// ALTER COLUMN registers its conversion through the server's per-program
+// handle cache, so repeated encrypt/decrypt cycles on one column leave the
+// enclave holding the registrations the first cycle made.
+TEST_F(E2eTest, RepeatedAlterReusesRegisteredConversions) {
+  ProvisionAndCreateSchema();
+  ASSERT_TRUE(
+      driver_->ExecuteDdl("CREATE TABLE Cycled (Id INT, S VARCHAR(8))").ok());
+  for (int i = 0; i < 4; ++i) {
+    auto r = driver_->Query("INSERT INTO Cycled (Id, S) VALUES (@i, @s)",
+                            {{"i", Value::Int32(i)},
+                             {"s", Value::String("v" + std::to_string(i))}});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  auto cycle = [&] {
+    Status st = driver_->ExecuteEnclaveDdl(
+        "ALTER TABLE Cycled ALTER COLUMN S VARCHAR(8) ENCRYPTED WITH ("
+        "COLUMN_ENCRYPTION_KEY = MyCEK, ENCRYPTION_TYPE = Randomized, "
+        "ALGORITHM = 'AEAD_AES_256_CBC_HMAC_SHA_256')");
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    st = driver_->ExecuteEnclaveDdl(
+        "ALTER TABLE Cycled ALTER COLUMN S VARCHAR(8)");
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  };
+  auto registered = [&] {
+    return db_->enclave()->stats().registered_programs.load();
+  };
+  cycle();
+  const uint64_t after_first = registered();
+  EXPECT_GE(after_first, 2u);  // the encrypt and the decrypt conversion
+  for (int i = 0; i < 3; ++i) cycle();
+  EXPECT_EQ(registered(), after_first);
+
+  auto r = driver_->Query("SELECT Id FROM Cycled WHERE S = @s",
+                          {{"s", Value::String("v2")}});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].i32(), 2);
 }
 
 TEST_F(E2eTest, UnauthorizedInitialEncryptionRejected) {
