@@ -145,12 +145,14 @@ if lane --tsan; then
   # the group-commit leader/follower handoff; shard_test for the router's
   # cross-shard 2PC paths (per-shard engines + the coordinator's decision
   # log) under the differential TPC-C run; fault_test for the server
-  # counters under driver retries and re-attestation.
+  # counters under driver retries and re-attestation; storage_test and
+  # durability_test for the lock manager, checkpoint quiescence and the
+  # read-only commit barrier (a reader waiting on a writer's cohort fsync).
   run cmake --build build-tsan -j "$JOBS" --target enclave_test net_test \
       server_test batch_equiv_test net_scale_test overload_test \
-      bufferpool_test shard_test fault_test
+      bufferpool_test shard_test fault_test storage_test durability_test
   TSAN_OPTIONS=halt_on_error=1 run ctest --test-dir build-tsan \
-      -R '^(enclave_test|net_test|server_test|batch_equiv_test|net_scale_test|overload_test|bufferpool_test|shard_test|fault_test)$' \
+      -R '^(enclave_test|net_test|server_test|batch_equiv_test|net_scale_test|overload_test|bufferpool_test|shard_test|fault_test|storage_test|durability_test)$' \
       --output-on-failure
 fi
 

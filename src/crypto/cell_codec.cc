@@ -37,9 +37,8 @@ const char* EncryptionSchemeName(EncryptionScheme scheme) {
 
 CellCodec::CellCodec(Slice cek)
     : enc_cipher_(Slice(DeriveKey(cek, kEncLabel))),
-      mac_key_(DeriveKey(cek, kMacLabel)),
-      iv_key_(DeriveKey(cek, kIvLabel)),
-      mac_proto_(Slice(mac_key_)) {
+      mac_proto_(Slice(DeriveKey(cek, kMacLabel))),
+      iv_proto_(Slice(DeriveKey(cek, kIvLabel))) {
   assert(cek.size() == 32);
 }
 
@@ -57,7 +56,9 @@ Bytes CellCodec::Encrypt(Slice plaintext, EncryptionScheme scheme) const {
   if (scheme == EncryptionScheme::kDeterministic) {
     // IV = HMAC(iv_key, plaintext) truncated to the block size: whole-value
     // determinism (paper §2.3 — stronger than per-block ECB determinism).
-    iv = HmacSha256::Mac(iv_key_, plaintext);
+    HmacSha256 mac = iv_proto_;
+    mac.Update(plaintext);
+    iv = mac.Finish();
     iv.resize(kIvSize);
   } else {
     iv = SecureRandom(kIvSize);

@@ -61,11 +61,11 @@ class CellCodec {
   Bytes ComputeMac(Slice iv, Slice ciphertext) const;
 
   Aes256 enc_cipher_;
-  Bytes mac_key_;
-  Bytes iv_key_;
-  /// Keyed HMAC midstate, copied per MAC so the per-cell cost is data
-  /// compressions only (the codec is cached per CEK; cells are tiny).
+  /// Keyed HMAC midstates (MAC key, DET IV key), copied per cell so the
+  /// per-cell cost is data compressions only (the codec is cached per CEK;
+  /// cells are tiny).
   HmacSha256 mac_proto_;
+  HmacSha256 iv_proto_;
 };
 
 }  // namespace aedb::crypto

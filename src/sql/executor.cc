@@ -740,23 +740,32 @@ Result<int64_t> Executor::Delete(const BoundStatement& bound,
 
 Status Executor::BuildIndex(const TableDef& table, const IndexDef& index,
                             uint64_t txn) {
+  // Keys are collected under the heap latch and inserted after it is
+  // released: IndexInsert takes the engine's catalog mutex, which ranks
+  // above heap latches (recovery clears heaps while holding it). The shared
+  // statement latch keeps writers from slipping in between the two passes.
+  std::shared_mutex* stmt = engine_->StatementLatch(table.id);
+  std::shared_lock<std::shared_mutex> stmt_lock;
+  if (stmt != nullptr) stmt_lock = std::shared_lock<std::shared_mutex>(*stmt);
+  std::vector<std::pair<Rid, Bytes>> entries;
   Status inner = Status::OK();
-  engine_->table(table.id)->Scan([&](const Rid& rid, Slice record) {
-    auto row = DecodeRow(record, table.columns.size());
-    if (!row.ok()) {
-      inner = row.status();
-      return false;
-    }
-    Bytes key =
-        IndexKeyFor(table.columns[index.column], (*row)[index.column]);
-    Status st = engine_->IndexInsert(txn, index.id, key, rid);
-    if (!st.ok()) {
-      inner = st;
-      return false;
-    }
-    return true;
-  });
-  return inner;
+  Status scanned =
+      engine_->table(table.id)->Scan([&](const Rid& rid, Slice record) {
+        auto row = DecodeRow(record, table.columns.size());
+        if (!row.ok()) {
+          inner = row.status();
+          return false;
+        }
+        entries.emplace_back(
+            rid, IndexKeyFor(table.columns[index.column], (*row)[index.column]));
+        return true;
+      });
+  AEDB_RETURN_IF_ERROR(scanned);
+  AEDB_RETURN_IF_ERROR(inner);
+  for (const auto& [rid, key] : entries) {
+    AEDB_RETURN_IF_ERROR(engine_->IndexInsert(txn, index.id, key, rid));
+  }
+  return Status::OK();
 }
 
 }  // namespace aedb::sql

@@ -141,13 +141,8 @@ uint64_t StorageEngine::Begin() {
     id = next_txn_id_++;
     active_.emplace(id, ActiveTxn{});
   }
-  LogRecord rec;
-  rec.txn_id = id;
-  rec.type = LogRecordType::kBegin;
-  // A failed begin-record append is harmless: recovery derives transaction
-  // existence from the op records, and this txn's first op will surface the
-  // same injected fault to the caller.
-  (void)wal_.Append(rec);
+  // No kBegin record: recovery derives a txn's existence from its op records,
+  // so a txn that never logs an op never touches the WAL.
   return id;
 }
 
@@ -178,16 +173,22 @@ Status StorageEngine::Commit(uint64_t txn_id) {
   // runtime state matches what recovery would rebuild. If the append landed
   // but the fsync failed, the log holds kCommit followed by the abort's
   // compensation records and kAbort: redo replays the txn to net zero, so
-  // recovery agrees with the TransactionAborted ack either way.
-  LogRecord rec;
-  rec.txn_id = txn_id;
-  rec.type = LogRecordType::kCommit;
-  // SyncUpTo is the group-commit barrier: one leader's fsync covers every
-  // concurrent committer whose record is already appended, but each ack
-  // still waits for a covering sync — the durability contract is unchanged.
-  auto appended = wal_.Append(rec);
-  Status durable = appended.status();
-  if (durable.ok()) durable = wal_.SyncUpTo(*appended);
+  // recovery agrees with the TransactionAborted ack either way. A txn that
+  // logged no op appends nothing; it acks once every commit its lock-free
+  // reads may have seen is durable (free when no write is pending).
+  Status durable;
+  if (ops.empty()) {
+    durable = wal_.SyncAppended();
+  } else {
+    // SyncUpTo is the group-commit barrier: one leader's fsync covers every
+    // concurrent committer whose record is already appended.
+    LogRecord rec;
+    rec.txn_id = txn_id;
+    rec.type = LogRecordType::kCommit;
+    auto appended = wal_.Append(rec);
+    durable = appended.status();
+    if (durable.ok()) durable = wal_.SyncUpTo(*appended);
+  }
   if (!durable.ok()) {
     {
       std::lock_guard<std::mutex> lock(meta_mu_);
@@ -421,12 +422,14 @@ Status StorageEngine::Abort(uint64_t txn_id) {
     // Without CTR the deferred transaction keeps its locks (§4.5).
     return Status::OK();
   }
-  LogRecord rec;
-  rec.txn_id = txn_id;
-  rec.type = LogRecordType::kAbort;
-  // Best effort: a missing abort record is fine, recovery treats the txn as a
-  // loser either way.
-  (void)wal_.Append(rec);
+  if (!ops.empty()) {
+    LogRecord rec;
+    rec.txn_id = txn_id;
+    rec.type = LogRecordType::kAbort;
+    // Best effort: a missing abort record is fine, recovery treats the txn
+    // as a loser either way. A txn with no ops has nothing to settle.
+    (void)wal_.Append(rec);
+  }
   locks_.ReleaseAll(txn_id);
   return Status::OK();
 }

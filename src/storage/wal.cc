@@ -286,6 +286,16 @@ Status Wal::SyncUpTo(uint64_t lsn) {
   }
 }
 
+Status Wal::SyncAppended() {
+  uint64_t tail;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tail = next_lsn_ - 1;
+    if (!poisoned_ && (fd_ < 0 || synced_lsn_ >= tail)) return Status::OK();
+  }
+  return SyncUpTo(tail);
+}
+
 void Wal::set_group_commit_window_us(uint64_t us) {
   std::lock_guard<std::mutex> lock(mu_);
   group_commit_window_us_ = us;

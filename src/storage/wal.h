@@ -11,7 +11,7 @@
 namespace aedb::storage {
 
 enum class LogRecordType : uint8_t {
-  kBegin = 1,
+  kBegin = 1,  // no longer written; decoded (and skipped) in older logs
   kCommit = 2,
   kAbort = 3,
   kHeapInsert = 4,  // object_id=table, rid, payload1=row image
@@ -151,6 +151,11 @@ class Wal {
   /// the fsync and trust its result, so no commit is ever acked off a
   /// barrier that reported an error.
   Status SyncUpTo(uint64_t lsn);
+
+  /// Read-only commit barrier: returns once every record appended so far is
+  /// durable, appending nothing. Free when the durable watermark covers the
+  /// log tail (or the log is in-memory); else SyncUpTo(tail).
+  Status SyncAppended();
 
   /// Leader linger before the cohort fsync (0 = fsync immediately; natural
   /// batching from followers arriving during a running fsync still applies).

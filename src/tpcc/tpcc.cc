@@ -273,19 +273,22 @@ Status TpccTerminal::NewOrder() {
   uint64_t txn = driver_->Begin();
   auto fail = [&](const Status& st) { return FailTxn(txn, st); };
 
+  // Increment first, then read under the X lock the UPDATE holds: reads take
+  // no locks, so reading D_NEXT_O_ID before the increment lets two New-Orders
+  // on one district take the same O_ID.
+  auto upd = driver_->Query(
+      "UPDATE District SET D_NEXT_O_ID = D_NEXT_O_ID + 1 WHERE D_W_ID = @w "
+      "AND D_ID = @d",
+      {{"w", Value::Int32(w)}, {"d", Value::Int32(d)}}, txn);
+  if (!upd.ok()) return fail(upd.status());
+
   auto district = driver_->Query(
       "SELECT D_TAX, D_NEXT_O_ID FROM District WHERE D_W_ID = @w AND "
       "D_ID = @d",
       {{"w", Value::Int32(w)}, {"d", Value::Int32(d)}}, txn);
   if (!district.ok()) return fail(district.status());
   if (district->rows.empty()) return fail(Status::Internal("missing district"));
-  int o_id = district->rows[0][1].i32();
-
-  auto upd = driver_->Query(
-      "UPDATE District SET D_NEXT_O_ID = D_NEXT_O_ID + 1 WHERE D_W_ID = @w "
-      "AND D_ID = @d",
-      {{"w", Value::Int32(w)}, {"d", Value::Int32(d)}}, txn);
-  if (!upd.ok()) return fail(upd.status());
+  int o_id = district->rows[0][1].i32() - 1;
 
   auto cust = driver_->Query(
       "SELECT C_DISCOUNT FROM Customer WHERE C_W_ID = @w AND C_D_ID = @d "

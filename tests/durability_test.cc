@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/driver.h"
@@ -489,6 +490,67 @@ TEST_F(DurabilityTest, WalCrashTortureExactOnFileBackedWal) {
 }
 
 // ===========================================================================
+// Read-only transactions on a file-backed WAL
+// ===========================================================================
+
+TEST_F(DurabilityTest, ReadOnlyTransactionOnAnIdleFileWalDoesNoIo) {
+  TempDir dir;
+  auto engine = MakeCatalogedEngine();
+  ASSERT_TRUE(engine->wal().AttachFile(dir.File("wal.log")).ok());
+  ASSERT_TRUE(CommitRow(engine.get(), "row", "k").ok());
+  const uint64_t bytes = engine->wal().wal_bytes();
+  const uint64_t fsyncs = engine->wal().fsyncs();
+  const uint64_t requests = engine->wal().sync_requests();
+  for (int i = 0; i < 3; ++i) {
+    uint64_t reader = engine->Begin();
+    ASSERT_TRUE(engine->Commit(reader).ok());
+  }
+  uint64_t failed = engine->Begin();
+  ASSERT_TRUE(engine->Abort(failed).ok());
+  // The writer's commit fsync already covers the log tail: nothing to append
+  // and nothing to wait for.
+  EXPECT_EQ(engine->wal().wal_bytes(), bytes);
+  EXPECT_EQ(engine->wal().fsyncs(), fsyncs);
+  EXPECT_EQ(engine->wal().sync_requests(), requests);
+}
+
+/// Readers take no locks, so a reader can see a row whose commit is appended
+/// but not yet fsynced. Its own commit must not be acked before that fsync.
+TEST_F(DurabilityTest, ReaderIsNotAckedBeforeTheWriterIsDurable) {
+  TempDir dir;
+  storage::EngineOptions opts;
+  // The writer leads its cohort and lingers this long before its fsync.
+  opts.group_commit_window_us = 200 * 1000;
+  StorageEngine engine(opts);
+  ASSERT_TRUE(engine.CreateTable(kTable).ok());
+  ASSERT_TRUE(engine.wal().AttachFile(dir.File("wal.log")).ok());
+
+  uint64_t writer = engine.Begin();
+  auto rid = engine.HeapInsert(writer, kTable, B("fresh"));
+  ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+  const uint64_t tail = engine.wal().next_lsn();
+  const uint64_t fsyncs_before = engine.wal().fsyncs();
+  Status writer_status;
+  std::thread commit([&] { writer_status = engine.Commit(writer); });
+  // The writer's kCommit is appended; its fsync has not run yet.
+  while (engine.wal().next_lsn() == tail) std::this_thread::yield();
+  ASSERT_EQ(engine.wal().fsyncs(), fsyncs_before);
+
+  uint64_t reader = engine.Begin();
+  auto seen = engine.table(kTable)->Read(*rid);
+  ASSERT_TRUE(seen.ok()) << seen.status().ToString();
+  EXPECT_EQ(*seen, B("fresh"));
+  Status reader_status = engine.Commit(reader);
+  EXPECT_GT(engine.wal().fsyncs(), fsyncs_before)
+      << "reader acked before the writer's commit was durable";
+  commit.join();
+  EXPECT_TRUE(reader_status.ok()) << reader_status.ToString();
+  EXPECT_TRUE(writer_status.ok()) << writer_status.ToString();
+  // The reader appended nothing of its own.
+  EXPECT_EQ(engine.wal().next_lsn(), tail + 1);
+}
+
+// ===========================================================================
 // Database-level durable round trips (data-dir mode)
 // ===========================================================================
 
@@ -795,6 +857,36 @@ TEST_F(DurableDatabaseTest, CrashBetweenPublishAndTruncateRecovers) {
   Boot(dir.path());
   EXPECT_GT(db_->recovery_info().from_checkpoint_lsn, 0u);
   ExpectAccountsIntact();
+}
+
+TEST_F(DurableDatabaseTest, ReadOnlyStatementsLeaveTheWalUntouched) {
+  TempDir dir;
+  Boot(dir.path());
+  ProvisionAndCreateSchema();
+  LoadAccounts();
+  const server::DatabaseStats before = db_->Stats();
+
+  // Autocommit reads: a plain scan, a DET equality and an enclave range.
+  ExpectAccountsIntact();
+  // An autocommit SELECT that fails after its transaction began: a plaintext
+  // parameter against a DET column is refused by the executor.
+  EXPECT_FALSE(db_->Execute("SELECT AcctID FROM Account WHERE Branch = @b",
+                            {Value::String("Zurich")})
+                   .ok());
+  // Read-only explicit transactions, committed and rolled back.
+  for (bool commit : {true, false}) {
+    uint64_t txn = driver_->Begin();
+    auto r = driver_->Query("SELECT Owner FROM Account WHERE AcctBal > @x",
+                            {{"x", Value::Int64(50)}}, txn);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows.size(), 3u);
+    ASSERT_TRUE((commit ? driver_->Commit(txn) : driver_->Rollback(txn)).ok());
+  }
+
+  const server::DatabaseStats after = db_->Stats();
+  EXPECT_EQ(after.wal_bytes, before.wal_bytes);
+  EXPECT_EQ(after.fsyncs, before.fsyncs);
+  EXPECT_EQ(after.commit_sync_requests, before.commit_sync_requests);
 }
 
 TEST_F(DurableDatabaseTest, NoPlaintextAtRestAnywhereInDataDir) {

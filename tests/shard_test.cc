@@ -187,6 +187,54 @@ TEST_F(ShardTest, CrossShardTransactionIsAtomic) {
   }
 }
 
+// A participant that only read has nothing to vote on or redo: it commits
+// without a vote and without a single WAL record, whether or not another
+// shard wrote.
+TEST_F(ShardTest, ReadOnlyParticipantAppendsNoRecord) {
+  Build(2);
+  auto driver = MakeDriver(sharded_.get());
+  ASSERT_TRUE(
+      driver->ExecuteDdl("CREATE TABLE Warehouse (W_ID INT, W_YTD INT)").ok());
+  for (int w = 1; w <= 2; ++w) {
+    ASSERT_TRUE(driver
+                    ->Query("INSERT INTO Warehouse (W_ID, W_YTD) VALUES (@w, 0)",
+                            {{"w", Value::Int32(w)}})
+                    .ok());
+  }
+  auto records = [&](uint32_t s) {
+    return sharded_->shard(s)->engine().wal().record_count();
+  };
+  const uint64_t two_pc = sharded_->two_phase_commits();
+  const size_t before0 = records(0);
+  const size_t before1 = records(1);
+
+  // Reads on both shards only.
+  uint64_t txn = driver->Begin();
+  for (int w = 1; w <= 2; ++w) {
+    auto r = driver->Query("SELECT W_YTD FROM Warehouse WHERE W_ID = @w",
+                           {{"w", Value::Int32(w)}}, txn);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  ASSERT_TRUE(driver->Commit(txn).ok());
+  EXPECT_EQ(records(0), before0);
+  EXPECT_EQ(records(1), before1);
+
+  // Shard 0 writes, shard 1 only reads: one WAL commit on shard 0, no 2PC.
+  txn = driver->Begin();
+  ASSERT_TRUE(driver
+                  ->Query("UPDATE Warehouse SET W_YTD = @v WHERE W_ID = @w",
+                          {{"v", Value::Int32(5)}, {"w", Value::Int32(1)}}, txn)
+                  .ok());
+  ASSERT_TRUE(driver
+                  ->Query("SELECT W_YTD FROM Warehouse WHERE W_ID = @w",
+                          {{"w", Value::Int32(2)}}, txn)
+                  .ok());
+  ASSERT_TRUE(driver->Commit(txn).ok());
+  EXPECT_GT(records(0), before0);
+  EXPECT_EQ(records(1), before1);
+  EXPECT_EQ(sharded_->two_phase_commits(), two_pc);
+}
+
 // The AE invariant: each shard's enclave is its own unit of attestation.
 // Restarting shard 1's enclave forces the driver to re-attest exactly that
 // shard — the other shard's session (and its installed CEKs) stay valid.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 
 #include "common/random.h"
@@ -609,6 +610,114 @@ TEST_F(EngineTest, UniqueIndexViolationSurfaces) {
   ASSERT_TRUE(engine.IndexInsert(txn, kIndex, B("k"), r1).ok());
   EXPECT_EQ(engine.IndexInsert(txn, kIndex, B("k"), r2).code(),
             StatusCode::kAlreadyExists);
+}
+
+TEST_F(EngineTest, TransactionsWithoutOpsLogNothing) {
+  StorageEngine engine;
+  FailableComparator* cmp;
+  Register(&engine, &cmp);
+  uint64_t writer = engine.Begin();
+  Rid rid = *engine.HeapInsert(writer, kTable, B("row"));
+  ASSERT_TRUE(engine.Commit(writer).ok());
+  // A writer logs its ops and one kCommit: Begin appends no record.
+  std::vector<LogRecord> log = engine.wal().Snapshot();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].type, LogRecordType::kHeapInsert);
+  EXPECT_EQ(log[1].type, LogRecordType::kCommit);
+
+  // A reader that commits, and one that aborts, leave the log as it was.
+  const uint64_t next_lsn = engine.wal().next_lsn();
+  const uint64_t requests = engine.wal().sync_requests();
+  uint64_t reader = engine.Begin();
+  EXPECT_EQ(*engine.table(kTable)->Read(rid), B("row"));
+  ASSERT_TRUE(engine.Commit(reader).ok());
+  uint64_t failed = engine.Begin();
+  ASSERT_TRUE(engine.Abort(failed).ok());
+  EXPECT_EQ(engine.wal().next_lsn(), next_lsn);
+  EXPECT_EQ(engine.wal().record_count(), 2u);
+  EXPECT_EQ(engine.wal().sync_requests(), requests);
+
+  // An aborted writer still settles with kAbort.
+  uint64_t loser = engine.Begin();
+  ASSERT_TRUE(engine.HeapInsert(loser, kTable, B("gone")).ok());
+  ASSERT_TRUE(engine.Abort(loser).ok());
+  EXPECT_EQ(engine.wal().Snapshot().back().type, LogRecordType::kAbort);
+}
+
+/// Older logs carry a kBegin record per transaction. Recovery must rebuild
+/// the same state from such a log as from the same log without them.
+TEST_F(EngineTest, LogWithBeginRecordsRecoversToTheSameState) {
+  StorageEngine engine;
+  FailableComparator* cmp;
+  Register(&engine, &cmp);
+  uint64_t t1 = engine.Begin();
+  Rid a = *engine.HeapInsert(t1, kTable, B("a"));
+  ASSERT_TRUE(engine.IndexInsert(t1, kIndex, B("a"), a).ok());
+  ASSERT_TRUE(engine.Commit(t1).ok());
+  uint64_t t2 = engine.Begin();  // rolled back at runtime
+  Rid b = *engine.HeapInsert(t2, kTable, B("b"));
+  ASSERT_TRUE(engine.IndexInsert(t2, kIndex, B("b"), b).ok());
+  ASSERT_TRUE(engine.Abort(t2).ok());
+  uint64_t t3 = engine.Begin();
+  Rid c = *engine.HeapInsert(t3, kTable, B("c"));
+  ASSERT_TRUE(engine.HeapDelete(t3, kTable, a).ok());
+  ASSERT_TRUE(engine.Commit(t3).ok());
+  uint64_t t4 = engine.Begin();  // in flight at the crash: a loser
+  ASSERT_TRUE(engine.HeapInsert(t4, kTable, B("d")).ok());
+  ASSERT_TRUE(engine.IndexInsert(t4, kIndex, B("d"), c).ok());
+
+  // The same history with a kBegin ahead of each txn's first record, plus
+  // one for a txn that never logged anything, LSNs renumbered in order.
+  std::vector<LogRecord> plain = engine.wal().Snapshot();
+  std::vector<LogRecord> with_begins;
+  std::set<uint64_t> begun;
+  LogRecord idle;
+  idle.txn_id = 99;
+  idle.type = LogRecordType::kBegin;
+  with_begins.push_back(idle);
+  for (const LogRecord& rec : plain) {
+    if (begun.insert(rec.txn_id).second) {
+      LogRecord begin;
+      begin.txn_id = rec.txn_id;
+      begin.type = LogRecordType::kBegin;
+      with_begins.push_back(begin);
+    }
+    with_begins.push_back(rec);
+  }
+  for (size_t i = 0; i < with_begins.size(); ++i) with_begins[i].lsn = i + 1;
+  // Through the byte image, as a reopened file would deliver it.
+  Wal old_format;
+  old_format.Replace(with_begins);
+  WalLoadResult parsed = Wal::ParseImage(old_format.RawBytes());
+  ASSERT_FALSE(parsed.torn_tail);
+  ASSERT_EQ(parsed.records.size(), plain.size() + 5);
+
+  auto recover = [&](std::vector<LogRecord> log,
+                     std::map<std::string, size_t>* keys) {
+    StorageEngine fresh;
+    FailableComparator* fresh_cmp;
+    Register(&fresh, &fresh_cmp);
+    fresh.wal().Replace(std::move(log));
+    auto result = fresh.Recover();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->deferred_txns.empty());
+    std::vector<std::string> rows;
+    fresh.table(kTable)->Scan([&](const Rid&, Slice row) {
+      rows.emplace_back(reinterpret_cast<const char*>(row.data()), row.size());
+      return true;
+    });
+    EXPECT_EQ(rows, std::vector<std::string>{"c"});
+    for (const char* k : {"a", "b", "c", "d"}) {
+      (*keys)[k] = fresh.index_tree(kIndex)->SeekEqual(B(k))->size();
+    }
+  };
+  std::map<std::string, size_t> plain_keys;
+  std::map<std::string, size_t> begin_keys;
+  recover(plain, &plain_keys);
+  recover(parsed.records, &begin_keys);
+  EXPECT_EQ(plain_keys, begin_keys);
+  EXPECT_EQ(begin_keys["a"], 1u);
+  EXPECT_EQ(begin_keys["b"] + begin_keys["d"], 0u);
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "crypto/drbg.h"
 #include "tpcc/tpcc.h"
 
@@ -151,6 +157,67 @@ TEST_F(TpccTestBase, BenchcraftMultiThreaded) {
   EXPECT_GE(result.committed, 40u) << "first error: " << result.first_error;
   EXPECT_GT(result.txn_per_second, 0.0);
   EXPECT_TRUE(result.first_error.empty()) << result.first_error;
+}
+
+/// New-Order takes its O_ID from D_NEXT_O_ID, and reads take no locks. The
+/// value must be read under the X lock of the increment, or two New-Orders on
+/// one district take the same O_ID and D_NEXT_O_ID runs ahead of MAX(O_ID).
+TEST_F(TpccTestBase, ConcurrentNewOrdersOnOneDistrictTakeDistinctOrderIds) {
+  TpccConfig config;
+  config.warehouses = 1;
+  config.districts_per_warehouse = 1;
+  config.customers_per_district = 12;
+  config.items = 40;
+  config.initial_orders_per_district = 4;
+  auto driver = MakeDriver();
+  TpccLoader loader(driver.get(), config);
+  ASSERT_TRUE(loader.CreateSchema().ok());
+  ASSERT_TRUE(loader.Load().ok());
+
+  // Rounds start together so New-Orders overlap while the district row is
+  // unlocked, which is when a read-then-increment loses the update.
+  constexpr int kTerminals = 4;
+  constexpr int kRounds = 40;
+  std::atomic<int> arrived{0};
+  std::atomic<int> hard_errors{0};
+  std::vector<std::thread> terminals;
+  for (int t = 0; t < kTerminals; ++t) {
+    terminals.emplace_back([&, t] {
+      auto own = MakeDriver();
+      TpccTerminal terminal(own.get(), config, 1000 + t);
+      for (int round = 1; round <= kRounds; ++round) {
+        arrived.fetch_add(1);
+        while (arrived.load() < round * kTerminals) std::this_thread::yield();
+        // Stagger the starts by up to a few statement times, so one
+        // terminal's increment can land between another's read and write.
+        std::this_thread::sleep_for(
+            std::chrono::microseconds((t * 97 + round * 61) % 400));
+        // Lock timeouts and write-write conflicts roll back inside NewOrder
+        // and return OK; anything else is a hard error.
+        Status st = terminal.NewOrder();
+        if (!st.ok() && !st.IsTransactionAborted()) ++hard_errors;
+      }
+    });
+  }
+  for (auto& t : terminals) t.join();
+  EXPECT_EQ(hard_errors.load(), 0);
+
+  auto orders = driver->Query(
+      "SELECT O_ID FROM Orders WHERE O_W_ID = 1 AND O_D_ID = 1");
+  auto district = driver->Query(
+      "SELECT D_NEXT_O_ID FROM District WHERE D_W_ID = 1 AND D_ID = 1");
+  ASSERT_TRUE(orders.ok()) << orders.status().ToString();
+  ASSERT_TRUE(district.ok()) << district.status().ToString();
+  ASSERT_EQ(district->rows.size(), 1u);
+  std::set<int> ids;
+  int max_id = 0;
+  for (const auto& row : orders->rows) {
+    ids.insert(row[0].i32());
+    max_id = std::max(max_id, row[0].i32());
+  }
+  EXPECT_GT(ids.size(), static_cast<size_t>(config.initial_orders_per_district));
+  EXPECT_EQ(ids.size(), orders->rows.size()) << "two orders share an O_ID";
+  EXPECT_EQ(district->rows[0][0].i32() - 1, max_id);
 }
 
 }  // namespace
