@@ -1,7 +1,6 @@
-// §4.6 ablation: synchronous enclave calls (one call-gate transition per
-// morsel; BM_BatchedEval/1 is the row-at-a-time cost) vs the queued
-// worker-thread design with spin-polling, at a realistic VBS transition cost,
-// and the amortization of larger morsels.
+// §4.6 ablation: enclave calls pay one call-gate transition per morsel
+// (BM_BatchedEval/1 is the row-at-a-time cost); larger morsels amortize it,
+// at a realistic VBS transition cost.
 //
 // Besides the Google Benchmark suite, the binary runs a batch-size sweep at
 // transition_cost_ns = 5000 and writes machine-readable results to
@@ -17,7 +16,6 @@
 
 #include "crypto/drbg.h"
 #include "enclave/enclave.h"
-#include "enclave/worker_pool.h"
 
 namespace aedb::enclave {
 namespace {
@@ -74,24 +72,6 @@ struct Rig {
                            crypto::EncryptionScheme::kRandomized);
   }
 };
-
-void BM_WorkerPoolEval(benchmark::State& state) {
-  static Rig* rig = new Rig(3000);
-  static EnclaveWorkerPool* pool = [] {
-    EnclaveWorkerPool::Options opts;
-    opts.num_threads = static_cast<int>(2);
-    return new EnclaveWorkerPool(rig->enclave.get(), opts);
-  }();
-  std::vector<std::vector<Value>> morsel = {
-      {Value::Binary(rig->cell_a), Value::Binary(rig->cell_b)}};
-  for (auto _ : state) {
-    auto r = pool->SubmitEvalBatch(rig->handle, morsel);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel("queued; spinning worker amortizes transitions; wakeups=" +
-                 std::to_string(pool->wakeups()));
-}
-BENCHMARK(BM_WorkerPoolEval)->Unit(benchmark::kMicrosecond);
 
 void BM_CompareCells(benchmark::State& state) {
   static Rig* rig = new Rig(0);

@@ -1,6 +1,6 @@
 // Reproduces paper Figure 8: normalized TPC-C transaction rates for
-// SQL-PT, SQL-PT-AEConn and SQL-AE (RND, 4 enclave threads) across client
-// driver thread counts. Laptop scale: the absolute tpmC is meaningless; the
+// SQL-PT, SQL-PT-AEConn and SQL-AE (RND) across client driver thread
+// counts. Laptop scale: the absolute tpmC is meaningless; the
 // *shape* — PT > PT-AEConn > AE, AEConn paying mostly for the extra
 // sp_describe round trip — is the reproduced result.
 //
@@ -50,9 +50,9 @@ int Main(int argc, char** argv) {
   config.initial_orders_per_district = 10;
 
   SystemConfig systems[] = {
-      {"SQL-PT", tpcc::Encryption::kPlaintext, /*ae_connection=*/false, 0, false},
-      {"SQL-PT-AEConn", tpcc::Encryption::kPlaintext, true, 0, false},
-      {"SQL-AE-RND-4", tpcc::Encryption::kRandomized, true, 4, false},
+      {"SQL-PT", tpcc::Encryption::kPlaintext, /*ae_connection=*/false, false},
+      {"SQL-PT-AEConn", tpcc::Encryption::kPlaintext, true, false},
+      {"SQL-AE-RND", tpcc::Encryption::kRandomized, true, false},
   };
 
   std::printf("Figure 8: normalized TPC-C throughput vs client driver threads\n");

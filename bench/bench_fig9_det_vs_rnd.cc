@@ -1,8 +1,9 @@
 // Reproduces paper Figure 9: normalized TPC-C throughput comparing
-// enclave-based processing over RND columns (1 and 4 enclave threads)
-// against non-enclave DET processing and the plaintext-with-AE-connection
-// baseline, at a fixed client thread count. The paper measured SQL-AE-RND-4
-// ~12.3% below SQL-AE-DET.
+// enclave-based processing over RND columns against non-enclave DET
+// processing and the plaintext-with-AE-connection baseline, at a fixed
+// client thread count. The paper measured SQL-AE-RND-4 ~12.3% below
+// SQL-AE-DET. Here every server thread enters the enclave itself, so there
+// is one RND configuration, not one per enclave thread count.
 
 #include <cstdio>
 #include <cstring>
@@ -35,16 +36,16 @@ int Main(int argc, char** argv) {
   config.initial_orders_per_district = 10;
 
   SystemConfig systems[] = {
-      {"SQL-PT-AEConn", tpcc::Encryption::kPlaintext, true, 0, false},
-      {"SQL-AE-DET", tpcc::Encryption::kDeterministic, true, 0, false},
-      {"SQL-AE-RND-1", tpcc::Encryption::kRandomized, true, 1, false},
-      {"SQL-AE-RND-4", tpcc::Encryption::kRandomized, true, 4, false},
+      {"SQL-PT-AEConn", tpcc::Encryption::kPlaintext, true, false},
+      {"SQL-AE-DET", tpcc::Encryption::kDeterministic, true, false},
+      {"SQL-AE-RND", tpcc::Encryption::kRandomized, true, false},
   };
+  constexpr int kSystems = sizeof(systems) / sizeof(systems[0]);
 
   std::printf("Figure 9: enclave (RND) vs deterministic encryption, %d client "
               "threads\n\n", threads);
-  double results[4] = {};
-  for (int s = 0; s < 4; ++s) {
+  double results[kSystems] = {};
+  for (int s = 0; s < kSystems; ++s) {
     auto deployment = SetUpDeployment(systems[s], config, network_us, transition_ns);
     if (!deployment) return 1;
     auto r = RunConfig(deployment.get(), threads, seconds);
@@ -55,12 +56,12 @@ int Main(int argc, char** argv) {
   }
   double base = results[0];
   std::printf("%-16s %12s %12s\n", "system", "txn/s", "normalized");
-  for (int s = 0; s < 4; ++s) {
+  for (int s = 0; s < kSystems; ++s) {
     std::printf("%-16s %12.1f %12.2f\n", systems[s].name.c_str(), results[s],
                 results[s] / base);
   }
-  std::printf("\nRND-4 vs DET: %.1f%% slower (paper: 12.3%%)\n",
-              100.0 * (1.0 - results[3] / std::max(1.0, results[1])));
+  std::printf("\nRND vs DET: %.1f%% slower (paper, RND-4: 12.3%%)\n",
+              100.0 * (1.0 - results[2] / std::max(1.0, results[1])));
   return 0;
 }
 

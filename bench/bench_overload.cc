@@ -46,7 +46,6 @@ int Run() {
                              // Gate well below the sweep's 16 issuers so the
                              // admission path actually sheds under overload.
                              opts->max_inflight_queries = 4;
-                             opts->enclave_queue_depth = 64;
                              opts->overload_retry_after_ms = 5;
                            });
   if (!d) {
@@ -147,12 +146,11 @@ int Run() {
   }
   const server::DatabaseStats ds = d->db->Stats();
   std::printf(
-      "# server: admitted=%llu rejected=%llu expired=%llu queue_hw=%llu "
+      "# server: admitted=%llu rejected=%llu expired=%llu "
       "lock_waits_expired=%llu conns_rejected=%llu\n",
       static_cast<unsigned long long>(ds.queries_admitted),
       static_cast<unsigned long long>(ds.queries_rejected),
       static_cast<unsigned long long>(ds.queries_expired),
-      static_cast<unsigned long long>(ds.pool_queue_highwater),
       static_cast<unsigned long long>(ds.lock_waits_expired),
       static_cast<unsigned long long>(
           d->net_server->SnapshotStats().connections_rejected));

@@ -74,8 +74,6 @@ struct SystemConfig {
   std::string name;
   tpcc::Encryption encryption = tpcc::Encryption::kPlaintext;
   bool ae_connection = true;
-  /// 0 = synchronous enclave calls; N = worker threads (SQL-AE-RND-N).
-  int enclave_threads = 0;
   /// Drivers cache describe results (the paper suggests this optimization;
   /// the measured configurations do NOT cache — §5.4.1).
   bool cache_describe = false;
@@ -102,15 +100,13 @@ inline std::unique_ptr<TpccDeployment> SetUpDeployment(
   d->hgs = std::make_unique<attestation::HostGuardianService>();
 
   server::ServerOptions opts;
-  opts.enclave_worker_threads = system.enclave_threads;
   opts.enclave_config.transition_cost_ns = enclave_transition_ns;
   opts.simulated_network_us = network_us;
   // Short lock timeout: contention resolves as quick aborts instead of
   // multi-second stalls (laptop-scale W makes district rows hot).
   opts.engine.lock_timeout = std::chrono::milliseconds(100);
-  opts.enclave_worker_spin_us = 2;  // single-core host: spinning steals cycles
   opts.eval_batch_size = eval_batch_size;  // 1 = row-at-a-time enclave calls
-  if (tune) tune(&opts);  // overload benches set gates/queue depths here
+  if (tune) tune(&opts);  // overload benches set the admission gate here
   d->db = std::make_unique<server::Database>(opts, d->hgs.get(), &d->image);
   d->hgs->RegisterTcgLog(d->db->platform()->tcg_log());
 

@@ -7,9 +7,9 @@
 // results decrypted client-side, key material only ever crossing the wire
 // wrapped or sealed to the enclave.
 //
-//   aedb_serverd [--port N] [--shards N] [--enclave-threads N]
-//                [--batch-size N] [--max-connections N] [--max-inflight N]
-//                [--queue-depth N] [--retry-after-ms N] [--data-dir PATH]
+//   aedb_serverd [--port N] [--shards N] [--batch-size N]
+//                [--max-connections N] [--max-inflight N]
+//                [--retry-after-ms N] [--data-dir PATH]
 //                [--checkpoint-bytes N] [--key-seed N] [--die-at point[:skip]]
 //                [--drain-deadline-ms N] [--demo]
 //
@@ -20,9 +20,9 @@
 // shard has its own enclave, attested separately by connecting drivers.
 // --max-connections caps concurrent TCP sessions; excess connections get a
 // typed kOverloaded rejection frame instead of a silent worker thread.
-// --max-inflight / --queue-depth / --retry-after-ms tune the admission gate,
-// the bounded enclave work queue, and the retry-after hint stamped on every
-// shed query (0 = unbounded / default hint).
+// --max-inflight / --retry-after-ms tune the admission gate (the one bound in
+// front of the enclave; 0 = unbounded) and the retry-after hint stamped on
+// every shed query.
 // --data-dir makes the server durable: WAL, DDL journal and checkpoints live
 // there and startup recovers from them (kill -9 safe).
 // --checkpoint-bytes sets the WAL size that triggers a background checkpoint
@@ -161,9 +161,6 @@ int main(int argc, char** argv) {
       // single-engine database, no router in the path).
       if (!parse_int("--shards", argv[++i], 1, 64, &v)) return 2;
       shards = v;
-    } else if (std::strcmp(argv[i], "--enclave-threads") == 0 && i + 1 < argc) {
-      if (!parse_int("--enclave-threads", argv[++i], 0, 256, &v)) return 2;
-      server_opts.enclave_worker_threads = static_cast<int>(v);
     } else if (std::strcmp(argv[i], "--batch-size") == 0 && i + 1 < argc) {
       // Rows per execution morsel (1 = row-at-a-time enclave calls).
       if (!parse_int("--batch-size", argv[++i], 1, 1 << 20, &v)) return 2;
@@ -174,9 +171,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--max-inflight") == 0 && i + 1 < argc) {
       if (!parse_int("--max-inflight", argv[++i], 0, 1 << 20, &v)) return 2;
       server_opts.max_inflight_queries = static_cast<size_t>(v);
-    } else if (std::strcmp(argv[i], "--queue-depth") == 0 && i + 1 < argc) {
-      if (!parse_int("--queue-depth", argv[++i], 0, 1 << 20, &v)) return 2;
-      server_opts.enclave_queue_depth = static_cast<size_t>(v);
     } else if (std::strcmp(argv[i], "--retry-after-ms") == 0 && i + 1 < argc) {
       if (!parse_int("--retry-after-ms", argv[++i], 1, 60'000, &v)) return 2;
       server_opts.overload_retry_after_ms = static_cast<uint32_t>(v);
@@ -250,9 +244,9 @@ int main(int argc, char** argv) {
       demo = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--port N] [--shards N] [--enclave-threads N] "
-                   "[--batch-size N] [--max-connections N] [--max-inflight N] "
-                   "[--queue-depth N] [--retry-after-ms N] [--io-threads N] "
+                   "usage: %s [--port N] [--shards N] [--batch-size N] "
+                   "[--max-connections N] [--max-inflight N] "
+                   "[--retry-after-ms N] [--io-threads N] "
                    "[--exec-threads N] [--idle-timeout-ms N] "
                    "[--data-dir PATH] [--checkpoint-bytes N] "
                    "[--pool-pages N] [--flush-interval-ms N] "
@@ -358,11 +352,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.frames_out),
               static_cast<unsigned long long>(s.protocol_errors));
   std::printf("overload: %llu conns rejected, %llu queries rejected, "
-              "%llu expired, queue highwater %llu\n",
+              "%llu expired, run queue highwater %llu\n",
               static_cast<unsigned long long>(s.connections_rejected),
               static_cast<unsigned long long>(ds.queries_rejected),
               static_cast<unsigned long long>(ds.queries_expired),
-              static_cast<unsigned long long>(ds.pool_queue_highwater));
+              static_cast<unsigned long long>(s.run_queue_highwater));
   const server::RecoveryInfo& ri = db->recovery_info();
   std::printf("durability: recovery_ms=%llu wal_records_replayed=%llu "
               "torn_bytes_dropped=%llu checkpoints_taken=%llu wal_bytes=%llu "

@@ -6,8 +6,8 @@
 #   scripts/verify.sh           # build + ctest + torture label
 #   scripts/verify.sh --asan    # also configure/build/run the ASan/UBSan tree
 #   scripts/verify.sh --tsan    # also run ThreadSanitizer over the threaded
-#                               # suites (worker pool, net server, batched
-#                               # executor morsels)
+#                               # suites (net server, batched executor
+#                               # morsels, concurrent TPC-C terminals)
 #   scripts/verify.sh --overload  # also run the deadline/overload robustness
 #                               # lane: ctest -L overload, the 4x open-loop
 #                               # degradation sweep (bench_overload), and the
@@ -69,8 +69,8 @@ if lane --asan; then
   # into them run at every morsel batch size. durability_test and shard_test
   # cover recovery, checkpoints and the router's 2PC and merged stats.
   # enclave_test, es_test, overload_test and e2e_test cover the enclave call
-  # gate: morsels of one, the worker pool's queue and ALTER COLUMN's
-  # single-morsel conversion. crypto_test covers the SHA-NI / AES-NI kernels
+  # gate: morsels of one, a deadline expiring between morsels and ALTER
+  # COLUMN's single-morsel conversion. crypto_test covers the SHA-NI / AES-NI kernels
   # against the portable ones (differential and published vectors).
   run cmake --build build-asan -j "$JOBS" --target fault_test \
       fault_torture_test storage_test net_test server_test sql_test \
@@ -83,8 +83,8 @@ fi
 
 if lane --overload; then
   # Deadline/overload robustness lane. The overload-labelled suite covers
-  # deadline-bounded lock waits, worker-pool shedding, the admission gate and
-  # the 4x socket stress; bench_overload gates graceful degradation (goodput
+  # deadline-bounded lock waits, deadline checks before each enclave morsel,
+  # the admission gate and the 4x socket stress; bench_overload gates graceful degradation (goodput
   # >= 70% of capacity at 4x offered load, zero wrong results, every shed
   # query typed); bench_net gates the disarmed deadline-check overhead.
   run ctest --test-dir build -L overload --output-on-failure
@@ -134,11 +134,12 @@ if lane --shard-torture; then
 fi
 
 if lane --tsan; then
-  # The data-race surface: enclave worker pool, multi-threaded net server
-  # (epoll shards + exec pool + connection-scale suite), overload shedding,
-  # and the executor's batched enclave submissions (batch_equiv drives every
-  # morsel path at batch sizes 1/3/256). net_scale_test self-shrinks its idle
-  # herd under TSan so the instrumented run stays tractable.
+  # Every suite that starts threads: the multi-threaded net server (epoll
+  # shards + exec pool + connection-scale suite), overload shedding, and
+  # host threads entering the enclave concurrently, one call per morsel
+  # (batch_equiv drives every morsel path at batch sizes 1/3/256).
+  # net_scale_test self-shrinks its idle herd under TSan so the instrumented
+  # run stays tractable.
   run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAEDB_SANITIZE=thread
   # bufferpool_test rides along for the pool's pin/evict/writeback races and
@@ -147,12 +148,15 @@ if lane --tsan; then
   # log) under the differential TPC-C run; fault_test for the server
   # counters under driver retries and re-attestation; storage_test and
   # durability_test for the lock manager, checkpoint quiescence and the
-  # read-only commit barrier (a reader waiting on a writer's cohort fsync).
+  # read-only commit barrier (a reader waiting on a writer's cohort fsync);
+  # tpcc_test for Benchcraft's terminal threads and concurrent New-Orders on
+  # one district.
   run cmake --build build-tsan -j "$JOBS" --target enclave_test net_test \
       server_test batch_equiv_test net_scale_test overload_test \
-      bufferpool_test shard_test fault_test storage_test durability_test
+      bufferpool_test shard_test fault_test storage_test durability_test \
+      tpcc_test
   TSAN_OPTIONS=halt_on_error=1 run ctest --test-dir build-tsan \
-      -R '^(enclave_test|net_test|server_test|batch_equiv_test|net_scale_test|overload_test|bufferpool_test|shard_test|fault_test|storage_test|durability_test)$' \
+      -R '^(enclave_test|net_test|server_test|batch_equiv_test|net_scale_test|overload_test|bufferpool_test|shard_test|fault_test|storage_test|durability_test|tpcc_test)$' \
       --output-on-failure
 fi
 

@@ -15,8 +15,8 @@ namespace aedb {
 ///
 /// A QueryContext is stamped by server::Database at admission time and made
 /// visible to the whole request path (executor morsel boundaries, lock-manager
-/// waits, enclave worker-pool submissions) through a thread-local pointer —
-/// see ScopedQueryContext. The thread-local indirection means deep layers
+/// waits, enclave calls) through a thread-local pointer — see
+/// ScopedQueryContext. The thread-local indirection means deep layers
 /// (e.g. the EnclaveInvoker implementations, btree comparators) observe the
 /// deadline without every interface growing a context parameter.
 ///

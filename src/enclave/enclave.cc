@@ -286,13 +286,6 @@ Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatch(
     uint64_t session_id, std::string_view authorizing_query) {
   // One transition covers the entire batch — that is the whole point.
   ChargeTransition();
-  return EvalRegisteredBatchResident(handle, batch, session_id,
-                                     authorizing_query);
-}
-
-Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatchResident(
-    uint64_t handle, const std::vector<std::vector<Value>>& batch,
-    uint64_t session_id, std::string_view authorizing_query) {
   stats_.calls.fetch_add(1, std::memory_order_relaxed);
   stats_.batch_evals.fetch_add(1, std::memory_order_relaxed);
   std::shared_lock lock(state_mu_);

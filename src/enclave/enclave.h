@@ -152,13 +152,6 @@ class Enclave {
       uint64_t handle, const std::vector<std::vector<types::Value>>& batch,
       uint64_t session_id = 0, std::string_view authorizing_query = {});
 
-  /// Transition-free variant of EvalRegisteredBatch for resident enclave
-  /// worker threads (EnclaveWorkerPool::SubmitEvalBatch), which are already
-  /// inside the enclave while processing the queue.
-  Result<std::vector<std::vector<types::Value>>> EvalRegisteredBatchResident(
-      uint64_t handle, const std::vector<std::vector<types::Value>>& batch,
-      uint64_t session_id = 0, std::string_view authorizing_query = {});
-
   /// Three-way comparison of encrypted cells under one CEK for B+-tree
   /// maintenance and seeks (paper §3.1.2 / Figure 4): decrypts `probe` once
   /// and returns cmp(probe, cells[i]) for each i, charging ONE transition
@@ -181,13 +174,12 @@ class Enclave {
   const EnclaveStats& stats() const { return stats_; }
   const EnclaveConfig& config() const { return config_; }
 
-  /// Charges one host→enclave transition (exposed so the worker-thread pool
-  /// can charge wake-ups; individual queue items processed by a spinning
-  /// worker cross no boundary).
-  void ChargeTransition();
-
  private:
   friend class EnclaveCellCrypto;
+
+  /// Charges one host→enclave transition: every public entry point pays
+  /// exactly one, whatever the size of its morsel.
+  void ChargeTransition();
 
   struct Session {
     Bytes shared_secret;

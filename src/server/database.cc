@@ -61,10 +61,7 @@ class EnclaveComparator : public storage::Comparator {
 /// once in the enclave and invoked subsequently using the handle").
 class Database::ServerInvoker : public es::EnclaveInvoker {
  public:
-  ServerInvoker(enclave::Enclave* enclave, enclave::EnclaveWorkerPool* pool)
-      : enclave_(enclave), pool_(pool) {}
-
-  void set_pool(enclave::EnclaveWorkerPool* pool) { pool_ = pool; }
+  explicit ServerInvoker(enclave::Enclave* enclave) : enclave_(enclave) {}
 
   Result<std::vector<std::vector<Value>>> EvalInEnclaveBatch(
       Slice program_bytes, const std::vector<std::vector<Value>>& batch_inputs,
@@ -75,18 +72,13 @@ class Database::ServerInvoker : public es::EnclaveInvoker {
           "query requires an enclave but none is configured");
     }
     // An expired query must cost zero further enclave transitions: check the
-    // deadline *before* registering, submitting, or calling into the enclave.
-    auto deadline = enclave::EnclaveWorkerPool::Clock::time_point::max();
+    // deadline *before* registering or calling into the enclave. The calling
+    // thread enters the enclave itself, one transition per morsel.
     if (const QueryContext* q = QueryContext::Current(); q != nullptr) {
       AEDB_RETURN_IF_ERROR(q->Check());
-      deadline = q->deadline();
     }
     uint64_t handle;
     AEDB_ASSIGN_OR_RETURN(handle, HandleFor(program_bytes));
-    if (pool_ != nullptr) {
-      return pool_->SubmitEvalBatch(handle, batch_inputs, /*session_id=*/0,
-                                    /*authorizing_query=*/{}, deadline);
-    }
     return enclave_->EvalRegisteredBatch(handle, batch_inputs);
   }
 
@@ -107,7 +99,6 @@ class Database::ServerInvoker : public es::EnclaveInvoker {
 
  private:
   enclave::Enclave* enclave_;
-  enclave::EnclaveWorkerPool* pool_;
   std::mutex mu_;
   std::map<std::string, uint64_t> handles_;
 };
@@ -135,19 +126,9 @@ Database::Database(ServerOptions options, attestation::HostGuardianService* hgs,
     platform_ = std::make_unique<enclave::VbsPlatform>(
         options_.boot_configuration, options_.hypervisor_version);
     auto loaded = platform_->LoadEnclave(*image, options_.enclave_config);
-    if (loaded.ok()) {
-      enclave_ = std::move(loaded).value();
-      if (options_.enclave_worker_threads > 0) {
-        enclave::EnclaveWorkerPool::Options pool_opts;
-        pool_opts.num_threads = options_.enclave_worker_threads;
-        pool_opts.spin_duration_us = options_.enclave_worker_spin_us;
-        pool_opts.max_queue_depth = options_.enclave_queue_depth;
-        worker_pool_ = std::make_unique<enclave::EnclaveWorkerPool>(
-            enclave_.get(), pool_opts);
-      }
-    }
+    if (loaded.ok()) enclave_ = std::move(loaded).value();
   }
-  invoker_ = std::make_unique<ServerInvoker>(enclave_.get(), worker_pool_.get());
+  invoker_ = std::make_unique<ServerInvoker>(enclave_.get());
   executor_ = std::make_unique<sql::Executor>(&catalog_, &engine_,
                                               invoker_.get());
   executor_->set_batch_size(options_.eval_batch_size);
@@ -190,11 +171,6 @@ DatabaseStats Database::Stats() const {
   out.queries_rejected = queries_rejected_.load(std::memory_order_relaxed);
   out.queries_expired = queries_expired_.load(std::memory_order_relaxed);
   out.lock_waits_expired = engine_.locks().waits_expired();
-  if (worker_pool_ != nullptr) {
-    out.pool_queue_highwater = worker_pool_->queue_highwater();
-    out.pool_expired_dropped = worker_pool_->expired_dropped();
-    out.pool_overload_rejected = worker_pool_->overload_rejected();
-  }
   out.torn_bytes_dropped = engine_.wal().torn_bytes_dropped() +
                            (ddl_journal_ != nullptr
                                 ? ddl_journal_->torn_bytes_dropped()
@@ -1058,7 +1034,7 @@ Result<sql::ResultSet> Database::ExecuteAdmitted(const std::string& sql_text,
     // x = x + 1) would double-apply it to the already-updated rows. Abort
     // the whole transaction and surface a typed kTransactionAborted so the
     // application restarts it. A shed with no ops applied (admission gate,
-    // predicate morsel rejected by the pool before any write, reads) stays
+    // predicate morsel shed before any write, reads) stays
     // kOverloaded: the txn is intact and the statement is safe to replay.
     (void)engine_.Abort(exec_txn);
     return Status::TransactionAborted(

@@ -13,7 +13,6 @@
 #include "attestation/attestation.h"
 #include "common/query_context.h"
 #include "enclave/enclave.h"
-#include "enclave/worker_pool.h"
 #include "server/ddl_journal.h"
 #include "sql/binder.h"
 #include "sql/executor.h"
@@ -24,13 +23,6 @@ namespace aedb::server {
 
 struct ServerOptions {
   bool enable_enclave = true;
-  /// 0 = synchronous enclave calls (one gate crossing per expression);
-  /// >0 = enclave worker threads with queued submission (paper §4.6).
-  int enclave_worker_threads = 0;
-  /// Worker spin-poll duration before sleeping. On a single-core host long
-  /// spins steal cycles from the producers; the paper's 20-core testbed
-  /// could afford pinned spinning workers.
-  uint64_t enclave_worker_spin_us = 50;
   enclave::EnclaveConfig enclave_config;
   storage::EngineOptions engine;
   std::string boot_configuration = "known-good-boot";
@@ -45,10 +37,6 @@ struct ServerOptions {
   /// over batches of this size with one enclave transition per morsel
   /// (paper §4.6 amortization). 1 = row-at-a-time.
   size_t eval_batch_size = 256;
-  /// Bound on queued (not yet picked up) enclave work items; 0 = unbounded.
-  /// A full queue sheds expired queued morsels first, then rejects the
-  /// submission with kOverloaded.
-  size_t enclave_queue_depth = 0;
   /// Admission gate: max concurrently executing queries; 0 = unbounded.
   /// Excess queries are rejected fast — before parsing or any enclave work —
   /// with kOverloaded carrying a retry-after hint.
@@ -82,16 +70,11 @@ struct ServerOptions {
   X(enclave_transitions, Sum)                                               \
   X(enclave_batch_evals, Sum)                                               \
   /* Overload control: admission gate outcomes, queries finished with       \
-     kDeadlineExceeded, lock waits cut short by a query deadline, and the   \
-     enclave worker pool's queue (morsels shed as kDeadlineExceeded,        \
-     submissions shed as kOverloaded). */                                   \
+     kDeadlineExceeded, and lock waits cut short by a query deadline. */    \
   X(queries_admitted, Sum)                                                  \
   X(queries_rejected, Sum)                                                  \
   X(queries_expired, Sum)                                                   \
   X(lock_waits_expired, Sum)                                                \
-  X(pool_queue_highwater, Max)                                              \
-  X(pool_expired_dropped, Sum)                                              \
-  X(pool_overload_rejected, Sum)                                            \
   /* Durability (data-dir mode; zero in memory): torn tail bytes dropped    \
      (WAL + DDL journal), the current durable WAL size, and WAL file writes \
      that failed (disk diverged from the in-memory mirror). */              \
@@ -435,7 +418,6 @@ class Database : public SqlBackend {
   storage::StorageEngine engine_;
   std::unique_ptr<enclave::VbsPlatform> platform_;
   std::unique_ptr<enclave::Enclave> enclave_;
-  std::unique_ptr<enclave::EnclaveWorkerPool> worker_pool_;
   std::unique_ptr<ServerInvoker> invoker_;
   std::unique_ptr<sql::Executor> executor_;
 

@@ -25,7 +25,7 @@ Status CheckQueryDeadline() {
 }
 
 /// Fault point at the per-row boundary of a write statement's apply loop —
-/// the place where a shed (enclave pool overload, injected kOverloaded)
+/// the place where a shed (buffer pool exhausted, injected kOverloaded)
 /// strikes AFTER earlier rows were already applied. Tests arm it to prove
 /// the server distinguishes a partially-applied statement's overload (must
 /// abort the enclosing explicit transaction) from a pre-execution shed

@@ -5,7 +5,6 @@
 #include "crypto/sha256.h"
 #include "enclave/enclave.h"
 #include "enclave/nonce_tracker.h"
-#include "enclave/worker_pool.h"
 
 namespace aedb::enclave {
 namespace {
@@ -307,29 +306,6 @@ TEST_F(EnclaveTest, NestedTMEvalRejected) {
   EXPECT_TRUE(
       enclave_->RegisterExpression(outer.Serialize()).status().IsSecurityError());
   EXPECT_EQ(enclave_->stats().evals.load(), 0u);
-}
-
-TEST_F(EnclaveTest, WorkerPoolEvaluates) {
-  OpenSessionWithKey();
-  es::EsProgram p;
-  p.GetData(0, TypeId::kInt64, Rnd());
-  p.GetData(1, TypeId::kInt64, Rnd());
-  p.Comp(es::CompareOp::kLt);
-  p.SetData(0, TypeId::kBool);
-  auto handle = enclave_->RegisterExpression(p.Serialize());
-  ASSERT_TRUE(handle.ok());
-
-  EnclaveWorkerPool::Options opts;
-  opts.num_threads = 2;
-  EnclaveWorkerPool pool(enclave_.get(), opts);
-  for (int i = 0; i < 50; ++i) {
-    auto r = pool.SubmitEvalBatch(
-        *handle, {{Value::Binary(Cell(Value::Int64(i))),
-                   Value::Binary(Cell(Value::Int64(25)))}});
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ASSERT_EQ(r->size(), 1u);
-    EXPECT_EQ((*r)[0][0].bool_v(), i < 25);
-  }
 }
 
 TEST_F(EnclaveTest, TransitionCostCharged) {

@@ -2,9 +2,9 @@
 // PR's test surface):
 //
 //   - lock waits bounded by the query deadline, not the global lock_timeout,
-//   - the enclave worker pool shedding expired morsels without paying
-//     transitions, and rejecting typed when its queue is full,
-//   - the Database admission gate (typed kOverloaded + retry-after hint),
+//   - the Database admission gate (typed kOverloaded + retry-after hint), the
+//     one bound in front of the enclave,
+//   - an expired query paying no further enclave transitions, mid-statement,
 //   - deadline propagation over the wire protocol,
 //   - connection-cap rejection and stalled-client eviction in net::Server,
 //   - a 4x-overload stress run proving graceful degradation: goodput holds,
@@ -24,10 +24,10 @@
 #include <vector>
 
 #include "client/driver.h"
+#include "client/transport.h"
 #include "common/query_context.h"
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
-#include "enclave/worker_pool.h"
 #include "fault/fault.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -107,182 +107,6 @@ TEST(LockDeadline, NoContextKeepsTimeoutTaxonomy) {
   Status st = locks.Acquire(2, 9, std::chrono::milliseconds(20));
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
   EXPECT_EQ(locks.waits_expired(), 0u);
-}
-
-// ===========================================================================
-// Enclave worker pool: bounded queue + expired-morsel shedding
-// ===========================================================================
-
-class PoolOverloadTest : public ::testing::Test {
- protected:
-  static constexpr uint32_t kCekId = 7;
-
-  void SetUp() override {
-    fault::FaultRegistry::Global().Reset();
-    crypto::HmacDrbg author_drbg(crypto::SecureRandom(48),
-                                 Slice(std::string_view("pool-author")));
-    author_key_ = crypto::GenerateRsaKey(1024, &author_drbg);
-    platform_ = std::make_unique<enclave::VbsPlatform>("known-good-boot", 2);
-    image_ = enclave::EnclaveImage::MakeEsImage(3, author_key_);
-    auto loaded = platform_->LoadEnclave(image_, enclave::EnclaveConfig{});
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    enclave_ = std::move(loaded).value();
-    cek_ = crypto::SecureRandom(32);
-
-    // Driver side: session + CEK install so registered programs can eval.
-    crypto::HmacDrbg drbg(crypto::SecureRandom(48),
-                          Slice(std::string_view("pool-client-dh")));
-    client_dh_ = crypto::GenerateDhKeyPair(&drbg);
-    auto resp = enclave_->CreateSession(crypto::DhPublicKeyBytes(client_dh_));
-    ASSERT_TRUE(resp.ok());
-    session_id_ = resp->session_id;
-    auto secret = crypto::DhComputeSharedSecret(client_dh_.private_key,
-                                                resp->enclave_dh_public);
-    ASSERT_TRUE(secret.ok());
-    channel_ = std::make_unique<crypto::CellCodec>(*secret);
-    Bytes plain;
-    PutU64(&plain, 0);
-    PutU32(&plain, 1);
-    PutU32(&plain, kCekId);
-    PutLengthPrefixed(&plain, cek_);
-    ASSERT_TRUE(enclave_
-                    ->InstallCeks(session_id_, 0,
-                                  channel_->Encrypt(
-                                      plain,
-                                      crypto::EncryptionScheme::kRandomized))
-                    .ok());
-
-    es::EsProgram p;
-    p.GetData(0, TypeId::kInt64, Rnd());
-    p.GetData(1, TypeId::kInt64, Rnd());
-    p.Comp(es::CompareOp::kLt);
-    p.SetData(0, TypeId::kBool);
-    auto handle = enclave_->RegisterExpression(p.Serialize());
-    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-    handle_ = *handle;
-  }
-
-  void TearDown() override { fault::FaultRegistry::Global().DisarmAll(); }
-
-  types::EncryptionType Rnd() {
-    return types::EncryptionType::Encrypted(types::EncKind::kRandomized,
-                                            kCekId, true);
-  }
-  Bytes Cell(const Value& v) {
-    crypto::CellCodec codec(cek_);
-    return codec.Encrypt(v.Encode(), crypto::EncryptionScheme::kRandomized);
-  }
-  // One row comparing a < b, submitted as a morsel of one.
-  std::vector<std::vector<Value>> Morsel(int64_t a, int64_t b) {
-    return {{Value::Binary(Cell(Value::Int64(a))),
-             Value::Binary(Cell(Value::Int64(b)))}};
-  }
-
-  crypto::RsaPrivateKey author_key_;
-  std::unique_ptr<enclave::VbsPlatform> platform_;
-  enclave::EnclaveImage image_;
-  std::unique_ptr<enclave::Enclave> enclave_;
-  Bytes cek_;
-  crypto::DhKeyPair client_dh_;
-  std::unique_ptr<crypto::CellCodec> channel_;
-  uint64_t session_id_ = 0;
-  uint64_t handle_ = 0;
-};
-
-TEST_F(PoolOverloadTest, ExpiredMorselDroppedWithoutEnclaveTransition) {
-  enclave::EnclaveWorkerPool::Options opts;
-  opts.num_threads = 1;
-  opts.spin_duration_us = 0;  // sleep immediately once the queue drains
-  enclave::EnclaveWorkerPool pool(enclave_.get(), opts);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // worker asleep
-
-  uint64_t wakeups0 = pool.wakeups();
-  uint64_t evals0 = enclave_->stats().evals.load();
-  // Deadline already in the past: the sleeping worker must shed it *before*
-  // re-entering the enclave (it is outside while asleep), so no transition
-  // and no eval are ever paid for this morsel.
-  auto r = pool.SubmitEvalBatch(handle_, Morsel(1, 2), 0, {},
-                                Clock::now() - std::chrono::milliseconds(1));
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
-  EXPECT_EQ(pool.expired_dropped(), 1u);
-  EXPECT_EQ(pool.wakeups(), wakeups0) << "expired morsel paid a transition";
-  EXPECT_EQ(enclave_->stats().evals.load(), evals0);
-
-  // A live morsel afterwards still evaluates (the pool is healthy).
-  auto ok = pool.SubmitEvalBatch(handle_, Morsel(1, 2));
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_TRUE((*ok)[0][0].bool_v());
-}
-
-TEST_F(PoolOverloadTest, FullQueueRejectsTypedOverloaded) {
-  enclave::EnclaveWorkerPool::Options opts;
-  opts.num_threads = 1;
-  opts.spin_duration_us = 0;
-  opts.max_queue_depth = 2;
-  enclave::EnclaveWorkerPool pool(enclave_.get(), opts);
-
-  // Stall the single worker inside the enclave so submissions back up.
-  fault::FaultSpec stall = fault::FaultSpec::Always(Status::OK());
-  stall.arg = 200;  // ms per item
-  fault::ScopedFault scoped("pool/worker_stall", stall);
-
-  std::vector<std::thread> waiters;
-  std::atomic<int> ok_count{0};
-  // First submission is picked up by the (stalling) worker; two more fill
-  // the bounded queue.
-  for (int i = 0; i < 3; ++i) {
-    waiters.emplace_back([&] {
-      auto r = pool.SubmitEvalBatch(handle_, Morsel(1, 2));
-      if (r.ok()) ok_count.fetch_add(1);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-
-  // Queue is now full: this submission must be rejected immediately, typed.
-  auto t0 = Clock::now();
-  auto r = pool.SubmitEvalBatch(handle_, Morsel(3, 4));
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsOverloaded()) << r.status().ToString();
-  EXPECT_LT(ElapsedMs(t0), 150.0) << "rejection was not fail-fast";
-  EXPECT_GE(pool.overload_rejected(), 1u);
-  EXPECT_EQ(pool.queue_highwater(), 2u);
-
-  for (auto& w : waiters) w.join();
-  EXPECT_EQ(ok_count.load(), 3) << "queued work was lost, not just delayed";
-}
-
-TEST_F(PoolOverloadTest, ShedOldestExpiredMakesRoomWhenFull) {
-  enclave::EnclaveWorkerPool::Options opts;
-  opts.num_threads = 1;
-  opts.spin_duration_us = 0;
-  opts.max_queue_depth = 1;
-  enclave::EnclaveWorkerPool pool(enclave_.get(), opts);
-
-  fault::FaultSpec stall = fault::FaultSpec::Always(Status::OK());
-  stall.arg = 250;
-  fault::ScopedFault scoped("pool/worker_stall", stall);
-
-  // Item A occupies the worker; item B (tiny budget) fills the queue and
-  // expires while waiting.
-  std::thread a([&] { (void)pool.SubmitEvalBatch(handle_, Morsel(1, 2)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  Status b_status;
-  std::thread b([&] {
-    auto r = pool.SubmitEvalBatch(handle_, Morsel(1, 2), 0, {},
-                                  Clock::now() + std::chrono::milliseconds(5));
-    b_status = r.status();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  // Queue is full (B) but B has expired: shed-oldest-expired makes room and
-  // C is accepted instead of rejected.
-  auto c = pool.SubmitEvalBatch(handle_, Morsel(1, 2));
-  EXPECT_TRUE(c.ok()) << c.status().ToString();
-  a.join();
-  b.join();
-  EXPECT_TRUE(b_status.IsDeadlineExceeded()) << b_status.ToString();
-  EXPECT_GE(pool.expired_dropped(), 1u);
 }
 
 // ===========================================================================
@@ -444,15 +268,15 @@ TEST_F(DbOverloadTest, LockWaitBoundedByQueryDeadlineEndToEnd) {
 }
 
 // ===========================================================================
-// Mid-statement pool overload vs. transaction integrity
+// Mid-statement overload vs. transaction integrity
 // ===========================================================================
 
-/// Full AE deployment (vault, CMK/CEK, enclave worker pool). The
-/// executor/write_shed fault point models overload striking *between* the
-/// rows of one write statement — after earlier rows are applied — while
-/// pool/queue_full models the pre-write shed of a predicate morsel, where
-/// nothing has been applied yet. The pair proves the server's partial-write
-/// distinction.
+/// Full AE deployment (vault, CMK/CEK, enclave). The executor/write_shed
+/// fault point models overload striking *between* the rows of one write
+/// statement — after earlier rows are applied — while a kOverloaded injected
+/// at enclave/batch_partial_failure models a shed inside the predicate
+/// morsel, where nothing has been applied yet. The pair proves the server's
+/// partial-write distinction.
 class EncryptedTxnOverloadTest : public ::testing::Test {
  protected:
   static constexpr const char* kVaultPath = "kv/txn-overload";
@@ -469,9 +293,7 @@ class EncryptedTxnOverloadTest : public ::testing::Test {
     image_ = enclave::EnclaveImage::MakeEsImage(1, author_key_);
     hgs_ = std::make_unique<attestation::HostGuardianService>();
 
-    server::ServerOptions opts;
-    opts.enclave_worker_threads = 1;  // expression eval rides the pool
-    db_ = std::make_unique<server::Database>(opts, hgs_.get(), &image_);
+    db_ = std::make_unique<server::Database>(opts_, hgs_.get(), &image_);
     hgs_->RegisterTcgLog(db_->platform()->tcg_log());
 
     client::DriverOptions dopts;
@@ -515,14 +337,16 @@ class EncryptedTxnOverloadTest : public ::testing::Test {
 
   /// Arms executor/write_shed to let row 1 of a write loop through and shed
   /// at the row-2 boundary: row 1 is already applied when the statement dies
-  /// with the same kOverloaded the pool emits when its queue is full.
+  /// with the kOverloaded an exhausted buffer pool returns.
   static void ArmMidStatementShed() {
     fault::FaultSpec spec = fault::FaultSpec::OneShot(
-        Status::Overloaded("enclave worker queue full (injected)"));
+        Status::Overloaded("buffer pool exhausted (injected)"));
     spec.skip = 1;
     fault::FaultRegistry::Global().Arm("executor/write_shed", spec);
   }
 
+  /// Set by a derived fixture's constructor, before SetUp builds the server.
+  server::ServerOptions opts_;
   std::unique_ptr<keys::InMemoryKeyVault> vault_;
   keys::KeyProviderRegistry registry_;
   crypto::RsaPrivateKey author_key_;
@@ -574,21 +398,87 @@ TEST_F(EncryptedTxnOverloadTest, AutocommitMidStatementOverloadReplaysCleanly) {
 
 TEST_F(EncryptedTxnOverloadTest, PreWriteShedInExplicitTxnReplaysSafely) {
   uint64_t txn = driver_->Begin();
-  // The complementary case: the pool rejects the encrypted WHERE predicate's
-  // morsel BEFORE the write loop touches any row. No op was logged, so the
-  // server lets kOverloaded pass through and the driver replays it
-  // transparently — even inside the explicit transaction.
+  // The complementary case: the encrypted WHERE predicate's morsel is shed
+  // inside the enclave BEFORE the write loop touches any row. No op was
+  // logged, so the server lets kOverloaded pass through and the driver
+  // replays it transparently — even inside the explicit transaction.
   fault::FaultRegistry::Global().Arm(
-      "pool/queue_full", fault::FaultSpec::OneShot(Status::OK()));
+      "enclave/batch_partial_failure",
+      fault::FaultSpec::OneShot(Status::Overloaded("enclave shed (injected)")));
   auto r = driver_->Query("UPDATE Acct SET cnt = cnt + 1 WHERE bal > @min",
                           {{"min", Value::Int64(150)}}, txn);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(fault::FaultRegistry::Global().fires("pool/queue_full"), 1u);
+  EXPECT_EQ(
+      fault::FaultRegistry::Global().fires("enclave/batch_partial_failure"),
+      1u);
   EXPECT_GE(driver_->retries(), 1) << "pre-write shed should replay, not fail";
   ASSERT_TRUE(driver_->Commit(txn).ok());
   EXPECT_EQ(Count(1), 0);  // bal=100, predicate false
   EXPECT_EQ(Count(2), 1);  // bal=200
   EXPECT_EQ(Count(3), 1);  // bal=300
+}
+
+/// Stamps a fixed server-side budget on every statement (0 = none), so one
+/// statement can be time-boxed at the server after an unbounded warm-up has
+/// attested the driver and cached the plan.
+class ServerBudgetTransport : public client::InProcessTransport {
+ public:
+  using InProcessTransport::InProcessTransport;
+  void set_deadline(uint32_t) override {
+    InProcessTransport::set_deadline(budget_ms);
+  }
+  uint32_t budget_ms = 0;
+};
+
+/// Every host thread enters the enclave itself, one transition per morsel.
+/// A slow gate (1 ms) and morsels of one row make a full scan far outlast
+/// the query's budget.
+class InlineEnclaveDeadlineTest : public EncryptedTxnOverloadTest {
+ protected:
+  InlineEnclaveDeadlineTest() {
+    opts_.enclave_config.transition_cost_ns = 1'000'000;
+    opts_.eval_batch_size = 1;
+  }
+};
+
+TEST_F(InlineEnclaveDeadlineTest, ExpiredQueryStopsEnteringTheEnclave) {
+  constexpr int kRows = 100;  // SetUp inserted rows 1-3
+  for (int i = 4; i <= kRows; ++i) {
+    auto r = driver_->Query(
+        "INSERT INTO Acct (id, cnt, hot, bal) VALUES (@i, @c, @h, @b)",
+        {{"i", Value::Int32(i)},
+         {"c", Value::Int64(0)},
+         {"h", Value::Bool(false)},
+         {"b", Value::Int64(100 * i)}});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  auto transport = std::make_unique<ServerBudgetTransport>(db_.get());
+  ServerBudgetTransport* budget = transport.get();
+  client::DriverOptions dopts;
+  dopts.enclave_policy.trusted_author_id = image_.AuthorId();
+  Driver driver(std::move(transport), &registry_, hgs_->signing_public(),
+                dopts);
+  const std::string scan = "SELECT id FROM Acct WHERE bal > @min";
+  const Driver::NamedParams params = {{"min", Value::Int64(0)}};
+  // Unbounded, the RND predicate pays one transition per row.
+  auto full = driver.Query(scan, params);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(full->rows.size(), static_cast<size_t>(kRows));
+
+  budget->budget_ms = 10;
+  const server::DatabaseStats before = db_->Stats();
+  auto r = driver.Query(scan, params);
+  const server::DatabaseStats after = db_->Stats();
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
+  EXPECT_EQ(after.queries_expired, before.queries_expired + 1);
+  // The scan entered the enclave, then stopped paying transitions once the
+  // budget was spent, long before it reached the last row.
+  const uint64_t transitions =
+      after.enclave_transitions - before.enclave_transitions;
+  EXPECT_GE(after.enclave_evals, before.enclave_evals + 1);
+  EXPECT_LT(transitions, static_cast<uint64_t>(kRows / 4))
+      << "expired query kept entering the enclave";
 }
 
 // ===========================================================================

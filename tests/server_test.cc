@@ -210,23 +210,6 @@ TEST_F(ServerTest, QueriesStayCorrectUnderConcurrentDdl) {
   EXPECT_GT(ddl_rounds, 0);
 }
 
-TEST_F(ServerTest, WorkerPoolModeServesEnclaveQueries) {
-  ServerOptions opts;
-  opts.enclave_worker_threads = 2;
-  StartServer(opts);
-  auto driver = MakeDriver();
-  ProvisionSchema(driver.get());
-  auto ins = driver->Query("INSERT INTO T (id, secret, plain) VALUES (@i, @s, @p)",
-                           {{"i", Value::Int32(1)},
-                            {"s", Value::String("topsecret")},
-                            {"p", Value::Int32(7)}});
-  ASSERT_TRUE(ins.ok()) << ins.status().ToString();
-  auto r = driver->Query("SELECT id FROM T WHERE secret = @s",
-                         {{"s", Value::String("topsecret")}});
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->rows.size(), 1u);
-}
-
 TEST_F(ServerTest, RestartDropsSessionsAndDriverRecovers) {
   StartServer();
   auto driver = MakeDriver();

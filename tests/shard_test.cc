@@ -374,7 +374,6 @@ TEST_F(ShardTest, MergedStatsFollowEachFieldsRule) {
   server::ServerOptions base;
   base.data_dir = dir;
   base.engine.pool_pages = 16;  // well under the working set: evictions
-  base.enclave_worker_threads = 1;
   Build(2, base);
 
   tpcc::TpccConfig config;
@@ -410,7 +409,6 @@ TEST_F(ShardTest, MergedStatsFollowEachFieldsRule) {
     EXPECT_GT(s->enclave_transitions, 0u);
     EXPECT_GT(s->group_commit_batches, 0u);
     EXPECT_GT(s->pool_evictions, 0u);
-    EXPECT_GT(s->pool_queue_highwater, 0u);
     EXPECT_GT(s->pool_pinned_highwater, 0u);
   }
   EXPECT_GT(merged.fsyncs, 0u);
@@ -426,8 +424,6 @@ TEST_F(ShardTest, MergedStatsFollowEachFieldsRule) {
   EXPECT_SUMMED(queries_rejected);
   EXPECT_SUMMED(queries_expired);
   EXPECT_SUMMED(lock_waits_expired);
-  EXPECT_SUMMED(pool_expired_dropped);
-  EXPECT_SUMMED(pool_overload_rejected);
   EXPECT_SUMMED(torn_bytes_dropped);
   EXPECT_SUMMED(checkpoints_taken);
   EXPECT_SUMMED(wal_bytes);
@@ -443,7 +439,6 @@ TEST_F(ShardTest, MergedStatsFollowEachFieldsRule) {
 #define EXPECT_MAXED(field) \
   EXPECT_EQ(merged.field, std::max(a.field, b.field)) << #field " is not a max"
   EXPECT_MAXED(fsyncs);
-  EXPECT_MAXED(pool_queue_highwater);
   EXPECT_MAXED(pool_pinned_highwater);
 #undef EXPECT_MAXED
 
